@@ -18,6 +18,7 @@ from .errors import (
     F0KitError,
     FrameGridMismatchError,
     MalformedHeaderError,
+    NonFiniteSamplesError,
     NonMonoError,
     UnsupportedEncodingError,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "FrameGridMismatchError",
     "GroundTruth",
     "MalformedHeaderError",
+    "NonFiniteSamplesError",
     "NonMonoError",
     "PitchTrack",
     "Spectrogram",

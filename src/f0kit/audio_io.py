@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     EmptyAudioError,
     MalformedHeaderError,
+    NonFiniteSamplesError,
     NonMonoError,
     UnsupportedEncodingError,
 )
@@ -61,7 +62,10 @@ class AudioClip:
                 f"samples shape {samples.shape} inconsistent with "
                 f"{self.channels} channel(s)"
             )
-        if samples.size and np.abs(samples).max() > 1.0:
+        peak = np.abs(samples).max() if samples.size else 0.0
+        if not np.isfinite(peak):  # max() propagates NaN
+            raise NonFiniteSamplesError("samples must be finite (found NaN or inf)")
+        if peak > 1.0:
             raise ValueError("samples must lie in [-1.0, 1.0]")
 
     @property
@@ -88,7 +92,8 @@ def load_wav(path: str | Path) -> AudioClip:
 
     Accepts canonical 44-byte headers as well as files carrying extra chunks
     before or after ``data``. 16-bit PCM is scaled by 1/32768; 32-bit float
-    is passed through (clamped to [-1, 1] for out-of-range foreign files).
+    is passed through (finite values clamped to [-1, 1] for out-of-range
+    foreign files).
 
     Raises:
         MalformedHeaderError: not a RIFF/WAVE file, or a chunk's declared
@@ -96,6 +101,7 @@ def load_wav(path: str | Path) -> AudioClip:
         UnsupportedEncodingError: format tag other than PCM/IEEE-float, or
             an unsupported bit depth for those tags.
         EmptyAudioError: the data chunk holds zero frames.
+        NonFiniteSamplesError: float data holds NaN or infinite samples.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12:
@@ -137,7 +143,8 @@ def load_wav(path: str | Path) -> AudioClip:
         if bits != 32:
             raise UnsupportedEncodingError(f"{path}: {bits}-bit float not supported (32-bit only)")
         values = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4")
-        samples = np.clip(values.astype(np.float64), -1.0, 1.0)
+        samples = values.astype(np.float64)  # NaN and inf stay, for AudioClip to reject
+        np.clip(samples, -1.0, 1.0, out=samples, where=np.isfinite(samples))
     else:
         raise UnsupportedEncodingError(f"{path}: WAVE format tag {tag} not supported")
 

@@ -3,22 +3,25 @@
 All three estimators share a common framing scheme and search the same lag
 window derived from the configured frequency band, so their outputs line up
 frame for frame and can be compared directly against the spectral tracker.
-Each integer-lag peak is refined with a parabolic fit through its neighbours,
-which removes most of the lag-quantization error at high fundamentals (at
-4 kHz and 44.1 kHz a whole lag step is worth hundreds of Hz).
+Lag products come from FFTs (Wiener-Khinchin; YIN's difference function from
+a cross-correlation plus energy sums), peaks are picked on whole arrays, and
+each integer-lag peak is refined with a parabolic fit through its
+neighbours, which removes most of the lag-quantization error at high
+fundamentals (at 4 kHz and 44.1 kHz a whole lag step is worth hundreds of Hz).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .audio_io import AudioClip, require_mono
-from .dsp import frame_signal
+from .dsp import frame_signal, frame_times
 from .errors import ConfigError
-from .tracker import PitchTrack
+from .tracker import PitchTrack, refine_peak
 
 
 @dataclass(frozen=True)
@@ -67,36 +70,106 @@ class BaselineConfig:
         return tau_min, tau_max
 
 
-def _frame_centers(n_frames: int, config: BaselineConfig, sample_rate: int) -> np.ndarray:
-    offsets = np.arange(n_frames) * config.hop + config.frame_size / 2.0
-    return offsets / sample_rate
+_BLOCK = 64  # frames per FFT batch, so memory does not grow with clip length
+
+# d(tau) under this share of the frame energy is FFT rounding noise (at most
+# 3e-14 measured); it is zeroed, else it alone can voice a constant frame.
+_D_NOISE = 1e-12
 
 
-def _refine_lag(y_left: float, y_center: float, y_right: float) -> float:
-    """Sub-sample offset of a parabola through three equally spaced points."""
-    denom = y_left - 2.0 * y_center + y_right
-    if denom == 0.0:
-        return 0.0
-    delta = 0.5 * (y_left - y_right) / denom
-    return float(np.clip(delta, -0.5, 0.5))
+@lru_cache(maxsize=32)
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n; other lengths are several times slower."""
+    k = range(n.bit_length() + 1)
+    return min(size for size in (2**a * 3**b * 5**c for a in k for b in k for c in k)
+               if size >= n)
 
 
-def _lag_to_f0(lag: float, sample_rate: int, config: BaselineConfig) -> float:
-    lo = sample_rate / config.f_max
-    hi = sample_rate / config.f_min
-    return sample_rate / float(np.clip(lag, lo, hi))
+def autocorrelation(frames: np.ndarray, tau_max: int) -> np.ndarray:
+    """r(tau) = sum_t x[t] x[t+tau] for tau = 0..tau_max, per frame."""
+    size = _fft_size(frames.shape[1] + tau_max)  # no circular wrap-around
+    r = np.empty((len(frames), tau_max + 1))
+    for start in range(0, len(frames), _BLOCK):
+        spec = np.fft.rfft(frames[start : start + _BLOCK], size, axis=1)
+        power = spec.real * spec.real + spec.imag * spec.imag
+        r[start : start + _BLOCK] = np.fft.irfft(power, size, axis=1)[:, : tau_max + 1]
+    return r
+
+
+def difference(frames: np.ndarray, tau_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """YIN difference d and its cumulative-mean normalization d' (d'(0) = 1).
+
+    d(tau) = sum_{t<w} (x[t] - x[t+tau])^2 over the first half frame, for
+    tau = 0..tau_max, formed as E_0 + E_tau - 2 c(tau): c correlates the
+    first w samples with the first w + tau_max, and the energies come from
+    one cumulative sum.
+    """
+    w = frames.shape[1] // 2
+    span = w + tau_max
+    size = _fft_size(span)
+    d = np.empty((len(frames), tau_max + 1))
+    for start in range(0, len(frames), _BLOCK):
+        x = frames[start : start + _BLOCK, :span]
+        c = np.fft.irfft(np.fft.rfft(x[:, :w], size, axis=1).conj()
+                         * np.fft.rfft(x, size, axis=1), size, axis=1)[:, : tau_max + 1]
+        energy = np.zeros((len(x), span + 1))
+        np.cumsum(x * x, axis=1, out=energy[:, 1:])
+        e_tau = energy[:, w:] - energy[:, : tau_max + 1]
+        rows = e_tau[:, :1] + e_tau - 2.0 * c
+        rows[rows <= _D_NOISE * energy[:, -1:]] = 0.0
+        d[start : start + _BLOCK] = rows
+    d[:, 0] = 0.0
+    # all-zero frames keep d'(tau) = 1
+    cumulative = np.cumsum(d[:, 1:], axis=1)
+    dn = np.ones_like(d)
+    np.divide(d[:, 1:] * np.arange(1.0, tau_max + 1), cumulative, out=dn[:, 1:],
+              where=cumulative > 0.0)
+    return d, dn
+
+
+def pick_max(rows: np.ndarray):
+    """Column of each row's first maximum, and that maximum."""
+    i = np.argmax(rows, axis=1)
+    return i, rows[np.arange(len(rows)), i]
+
+
+def pick_yin(dn: np.ndarray, tau_min: int, threshold: float):
+    """First lag of ``dn`` (lags 0..tau_max) in [tau_min, tau_max] under ``threshold``.
+
+    Walks downhill to the first t with dn[t+1] >= dn[t] (or tau_max) and
+    returns (lag, 1 - dn there, voiced); rows that never cross report
+    tau_min and 1 - their minimum over the window.
+    """
+    window = dn[:, tau_min:]
+    below = window < threshold
+    voiced = below.any(axis=1)
+    stop = np.ones(window.shape, dtype=bool)
+    stop[:, :-1] = window[:, 1:] >= window[:, :-1]
+    stop &= np.arange(window.shape[1]) >= np.argmax(below, axis=1)[:, None]
+    i = np.where(voiced, np.argmax(stop, axis=1), 0)
+    value = np.where(voiced, window[np.arange(len(dn)), i], window.min(axis=1))
+    return tau_min + i, 1.0 - value, voiced
+
+
+def _refine_at(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Parabolic sub-lag offset at ``rows[j, cols[j]]``; 0 at either end of a row."""
+    j = np.arange(len(rows))
+    last = rows.shape[1] - 1
+    delta = refine_peak(rows[j, np.maximum(cols - 1, 0)], rows[j, cols],
+                        rows[j, np.minimum(cols + 1, last)])
+    return np.where((cols > 0) & (cols < last), delta, 0.0)
 
 
 def _prepare(clip: AudioClip, config: BaselineConfig):
     require_mono(clip)
     frames = frame_signal(clip.samples, config.frame_size, config.hop)
-    times = _frame_centers(len(frames), config, clip.sample_rate)
+    times = frame_times(len(frames), config.frame_size, config.hop, clip.sample_rate)
     tau_min, tau_max = config.lag_range(clip.sample_rate)
     return frames, times, tau_min, tau_max
 
 
-def _finish(times, f0, strength, voiced, config) -> PitchTrack:
-    f0 = np.where(voiced, f0, np.nan)
+def _finish(times, lags, strength, voiced, fs: int, config) -> PitchTrack:
+    f0 = np.where(voiced, fs / np.clip(lags, fs / config.f_max, fs / config.f_min), np.nan)
     return PitchTrack(times=times, f0=f0, peak_magnitude=strength,
                       voiced=voiced, config=config)
 
@@ -109,31 +182,13 @@ def autocorr_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> Pit
     """
     config = config or BaselineConfig()
     frames, times, tau_min, tau_max = _prepare(clip, config)
-    n_frames, n = frames.shape
 
-    lags = np.arange(tau_min, tau_max + 1)
-    r = np.empty((n_frames, len(lags)))
-    for i, tau in enumerate(lags):
-        r[:, i] = np.einsum("ij,ij->i", frames[:, : n - tau], frames[:, tau:])
-    r0 = np.einsum("ij,ij->i", frames, frames)
-
-    f0 = np.zeros(n_frames)
-    strength = np.zeros(n_frames)
-    voiced = np.zeros(n_frames, dtype=bool)
-    for j in range(n_frames):
-        if r0[j] <= 0.0:
-            continue
-        norm = r[j] / r0[j]
-        i = int(np.argmax(norm))
-        strength[j] = norm[i]
-        if norm[i] < 0.5:
-            continue
-        delta = 0.0
-        if 0 < i < len(norm) - 1:
-            delta = _refine_lag(norm[i - 1], norm[i], norm[i + 1])
-        f0[j] = _lag_to_f0(lags[i] + delta, clip.sample_rate, config)
-        voiced[j] = True
-    return _finish(times, f0, strength, voiced, config)
+    r = autocorrelation(frames, tau_max)[:, tau_min:]
+    r0 = np.einsum("ij,ij->i", frames, frames)[:, None]
+    norm = np.divide(r, r0, out=np.zeros_like(r), where=r0 > 0.0)
+    i, strength = pick_max(norm)
+    return _finish(times, tau_min + i + _refine_at(norm, i), strength, strength >= 0.5,
+                   clip.sample_rate, config)
 
 
 def yin_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> PitchTrack:
@@ -147,44 +202,11 @@ def yin_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> PitchTra
     """
     config = config or BaselineConfig()
     frames, times, tau_min, tau_max = _prepare(clip, config)
-    n_frames = len(frames)
-    w = config.frame_size // 2
 
-    d = np.empty((n_frames, tau_max + 1))
-    d[:, 0] = 0.0
-    for tau in range(1, tau_max + 1):
-        diff = frames[:, :w] - frames[:, tau : tau + w]
-        d[:, tau] = np.einsum("ij,ij->i", diff, diff)
-
-    # cumulative-mean normalization; all-zero frames keep d'(tau) = 1
-    cumulative = np.cumsum(d[:, 1:], axis=1)
-    dn = np.ones_like(d)
-    taus = np.arange(1, tau_max + 1, dtype=float)
-    np.divide(d[:, 1:] * taus, cumulative, out=dn[:, 1:], where=cumulative > 0.0)
-
-    f0 = np.zeros(n_frames)
-    strength = np.zeros(n_frames)
-    voiced = np.zeros(n_frames, dtype=bool)
-    for j in range(n_frames):
-        row = dn[j]
-        best = tau_min + int(np.argmin(row[tau_min : tau_max + 1]))
-        tau = -1
-        for cand in range(tau_min, tau_max + 1):
-            if row[cand] < config.yin_threshold:
-                tau = cand
-                while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
-                    tau += 1
-                break
-        if tau < 0:
-            strength[j] = 1.0 - row[best]
-            continue
-        strength[j] = 1.0 - row[tau]
-        delta = 0.0
-        if tau + 1 <= tau_max:
-            delta = _refine_lag(row[tau - 1], row[tau], row[tau + 1])
-        f0[j] = _lag_to_f0(tau + delta, clip.sample_rate, config)
-        voiced[j] = True
-    return _finish(times, f0, strength, voiced, config)
+    _, dn = difference(frames, tau_max)
+    tau, strength, voiced = pick_yin(dn, tau_min, config.yin_threshold)
+    return _finish(times, tau + _refine_at(dn, tau), strength, voiced,
+                   clip.sample_rate, config)
 
 
 def cepstrum_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> PitchTrack:
@@ -199,30 +221,16 @@ def cepstrum_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> Pit
     """
     config = config or BaselineConfig()
     frames, times, tau_min, tau_max = _prepare(clip, config)
-    n_frames = len(frames)
 
     window = np.hamming(config.frame_size)
     spectra = np.abs(np.fft.rfft(frames * window, axis=1))
     cepstra = np.fft.irfft(np.log(spectra + 1e-12), axis=1)
 
-    f0 = np.zeros(n_frames)
-    strength = np.zeros(n_frames)
-    voiced = np.zeros(n_frames, dtype=bool)
-    for j in range(n_frames):
-        region = cepstra[j, tau_min : tau_max + 1]
-        i = int(np.argmax(region))
-        q = tau_min + i
-        peak = region[i]
-        strength[j] = peak
-        floor = float(np.median(np.abs(region)))
-        if peak <= 4.0 * floor:
-            continue
-        delta = 0.0
-        if 0 < i < len(region) - 1:
-            delta = _refine_lag(region[i - 1], region[i], region[i + 1])
-        f0[j] = _lag_to_f0(q + delta, clip.sample_rate, config)
-        voiced[j] = True
-    return _finish(times, f0, strength, voiced, config)
+    region = cepstra[:, tau_min : tau_max + 1]
+    i, strength = pick_max(region)
+    voiced = strength > 4.0 * np.median(np.abs(region), axis=1)
+    return _finish(times, tau_min + i + _refine_at(region, i), strength, voiced,
+                   clip.sample_rate, config)
 
 
 BASELINES = {

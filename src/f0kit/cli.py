@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
-``f0 track`` runs the full pipeline per input file: load, downmix,
-spectrogram + envelope, the selected pitch method, then table (and optional
-plot) export. Files are processed by a bounded thread pool and every output
-is written atomically, so a crashed run never leaves a truncated table
-behind. Each error class maps to its own exit code; see _EXIT_CODES.
+``f0 track`` runs the full pipeline per input file: load, downmix, the
+spectrogram and envelope (specmax or --plot only), the pitch method, then
+table (and optional plot) export. Files run on a bounded thread pool and
+every output is written atomically, so a crashed run never leaves a
+truncated table behind. Errors exit with their class's ``exit_code``.
 """
 
 from __future__ import annotations
@@ -21,38 +21,11 @@ from pathlib import Path
 from .audio_io import downmix, load_wav
 from .baselines import BASELINES, BaselineConfig
 from .dsp import WINDOW_FUNCTIONS, SpectrogramConfig, envelope, spectrogram
-from .errors import (
-    AliasingError,
-    AmplitudeOverflowError,
-    ClipTooShortError,
-    ConfigError,
-    EmptyAudioError,
-    EmptyBandError,
-    F0KitError,
-    FrameGridMismatchError,
-    MalformedHeaderError,
-    NonMonoError,
-    UnsupportedEncodingError,
-)
+from .errors import ConfigError, F0KitError
 from .export import export_table, render_plot
 from .tracker import TrackerConfig, track
 
 METHODS = ("specmax", "acf", "yin", "cepstrum")
-
-_EXIT_CODES = (
-    (ConfigError, 2),
-    (MalformedHeaderError, 3),
-    (UnsupportedEncodingError, 4),
-    (EmptyAudioError, 5),
-    (ClipTooShortError, 6),
-    (NonMonoError, 7),
-    (FrameGridMismatchError, 8),
-    (EmptyBandError, 9),
-    (AliasingError, 10),
-    (AmplitudeOverflowError, 11),
-    (F0KitError, 12),
-    (OSError, 13),
-)
 
 # which flags matter for which method, for ignored-flag warnings
 _FLAG_SCOPE = {
@@ -69,10 +42,9 @@ _FLAG_SCOPE = {
 
 
 def exit_code_for(exc: BaseException) -> int:
-    for klass, code in _EXIT_CODES:
-        if isinstance(exc, klass):
-            return code
-    return 1
+    if isinstance(exc, F0KitError):
+        return exc.exit_code
+    return 13 if isinstance(exc, OSError) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,6 +96,12 @@ class _Resolved:
     baseline: BaselineConfig
 
 
+def _given(args, **fields: str) -> dict:
+    """Config keyword arguments for the flags that were set (flag=field)."""
+    return {field: getattr(args, flag) for flag, field in fields.items()
+            if getattr(args, flag) is not None}
+
+
 def _resolve(args) -> _Resolved:
     for flag, methods in _FLAG_SCOPE.items():
         if getattr(args, flag) is not None and args.method not in methods:
@@ -132,35 +110,14 @@ def _resolve(args) -> _Resolved:
                 f"method {args.method}",
                 file=sys.stderr,
             )
-    spectro = SpectrogramConfig(
-        window_size=args.window if args.window is not None else 1024,
-        overlap=args.overlap,
-        window_function=args.window_fn if args.window_fn is not None else "hann",
-    )
-    tracker_kwargs = {}
-    if args.fmin is not None:
-        tracker_kwargs["f_min"] = args.fmin
-    if args.fmax is not None:
-        tracker_kwargs["f_max"] = args.fmax
-    if args.silence_db is not None:
-        tracker_kwargs["silence_threshold_db"] = args.silence_db
-    if args.peak_db is not None:
-        tracker_kwargs["peak_threshold_db"] = args.peak_db
-    if args.refine is not None:
-        tracker_kwargs["refine_peak"] = args.refine
-    tracker_cfg = TrackerConfig(**tracker_kwargs)
-    baseline_kwargs = {}
-    if args.frame_size is not None:
-        baseline_kwargs["frame_size"] = args.frame_size
-    if args.hop is not None:
-        baseline_kwargs["hop"] = args.hop
-    if args.fmin is not None:
-        baseline_kwargs["f_min"] = args.fmin
-    if args.fmax is not None:
-        baseline_kwargs["f_max"] = args.fmax
-    if args.yin_threshold is not None:
-        baseline_kwargs["yin_threshold"] = args.yin_threshold
-    baseline_cfg = BaselineConfig(**baseline_kwargs)
+    spectro = SpectrogramConfig(**_given(
+        args, window="window_size", overlap="overlap", window_fn="window_function"))
+    tracker_cfg = TrackerConfig(**_given(
+        args, fmin="f_min", fmax="f_max", silence_db="silence_threshold_db",
+        peak_db="peak_threshold_db", refine="refine_peak"))
+    baseline_cfg = BaselineConfig(**_given(
+        args, frame_size="frame_size", hop="hop", fmin="f_min", fmax="f_max",
+        yin_threshold="yin_threshold"))
     return _Resolved(args.method, spectro, tracker_cfg, baseline_cfg)
 
 
@@ -208,8 +165,9 @@ def _process_one(input_name: str, resolved: _Resolved, table_path: Path,
                  plot_path: Path | None, verbose: bool) -> str:
     started = time.perf_counter()
     clip = downmix(load_wav(input_name))
-    spec = spectrogram(clip, resolved.spectro)
-    env = envelope(clip, resolved.spectro)
+    if resolved.method == "specmax" or plot_path is not None:
+        spec = spectrogram(clip, resolved.spectro)
+        env = envelope(clip, resolved.spectro)
     if resolved.method == "specmax":
         result = track(spec, env, resolved.tracker)
     else:
@@ -240,9 +198,29 @@ def _worker_count(n_inputs: int) -> int:
             raise ConfigError(f"F0_NUM_THREADS must be an integer, got {raw!r}")
         if limit < 1:
             raise ConfigError("F0_NUM_THREADS must be at least 1")
+    elif hasattr(os, "sched_getaffinity"):
+        limit = len(os.sched_getaffinity(0))
     else:
         limit = os.cpu_count() or 1
     return max(1, min(limit, n_inputs))
+
+
+def _plan(args) -> list[tuple[str, Path, Path | None]]:
+    """(input, table path, plot path) per input; no two outputs may share a path."""
+    multi = len(args.inputs) > 1
+    jobs, claimed = [], {}
+    for name in args.inputs:
+        input_path = Path(name)
+        table_path = _destination(args.out, input_path, ".f0.txt", multi)
+        plot_path = (_destination(args.plot, input_path, ".f0.svg", multi)
+                     if args.plot is not None else None)
+        for path in filter(None, (table_path, plot_path)):
+            key = path.resolve()
+            if key in claimed:
+                raise ConfigError(f"{claimed[key]} and {name} would both write {path}")
+            claimed[key] = name
+        jobs.append((name, table_path, plot_path))
+    return jobs
 
 
 def main(argv=None) -> int:
@@ -250,20 +228,12 @@ def main(argv=None) -> int:
     try:
         resolved = _resolve(args)
         workers = _worker_count(len(args.inputs))
+        jobs = _plan(args)
     except ConfigError as exc:
         print(f"f0: error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
     if args.dump_config:
         _dump_config(resolved)
-
-    multi = len(args.inputs) > 1
-    jobs = []
-    for name in args.inputs:
-        input_path = Path(name)
-        table_path = _destination(args.out, input_path, ".f0.txt", multi)
-        plot_path = (_destination(args.plot, input_path, ".f0.svg", multi)
-                     if args.plot is not None else None)
-        jobs.append((name, table_path, plot_path))
 
     status = 0
     with ThreadPoolExecutor(max_workers=workers) as pool:

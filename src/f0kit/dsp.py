@@ -15,7 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -120,9 +120,8 @@ def frame_signal(samples: np.ndarray, window_size: int, hop: int) -> np.ndarray:
     return sliding_window_view(samples, window_size)[::hop]
 
 
-def frame_times(n_frames: int, config: SpectrogramConfig, sample_rate: int) -> np.ndarray:
-    offsets = np.arange(n_frames) * config.hop + config.window_size / 2
-    return offsets / sample_rate
+def frame_times(n_frames: int, window_size: int, hop: int, sample_rate: int) -> np.ndarray:
+    return (np.arange(n_frames) * hop + window_size / 2) / sample_rate
 
 
 def spectrogram(clip: AudioClip, config: SpectrogramConfig | None = None) -> Spectrogram:
@@ -144,7 +143,7 @@ def spectrogram(clip: AudioClip, config: SpectrogramConfig | None = None) -> Spe
     return Spectrogram(
         magnitudes=mags,
         freq_bins=freq_bins,
-        frame_times=frame_times(mags.shape[1], config, clip.sample_rate),
+        frame_times=frame_times(mags.shape[1], config.window_size, config.hop, clip.sample_rate),
         sample_rate=clip.sample_rate,
     )
 
@@ -162,5 +161,5 @@ def envelope(clip: AudioClip, config: SpectrogramConfig | None = None) -> Envelo
     values = np.sqrt(np.mean(np.square(frames), axis=1))
     return Envelope(
         values=values,
-        frame_times=frame_times(len(values), config, clip.sample_rate),
+        frame_times=frame_times(len(values), config.window_size, config.hop, clip.sample_rate),
     )

@@ -92,18 +92,18 @@ class PitchTrack:
         return self.f0[self.voiced]
 
 
-def refine_peak(m_left: float, m_center: float, m_right: float, bin_width: float) -> float:
-    """Sub-bin peak offset in Hz from parabolic interpolation.
+def refine_peak(m_left, m_center, m_right, bin_width: float = 1.0):
+    """Sub-bin peak offset from parabolic interpolation, in units of ``bin_width``.
 
     Fits a parabola through three neighbouring magnitudes and returns the
     vertex offset relative to the centre bin, clamped to half a bin either
-    side. Degenerate (collinear) points give 0.
+    side; elementwise for arrays. Degenerate (collinear) points give 0.
     """
-    denom = m_left - 2.0 * m_center + m_right
-    if denom == 0.0:
-        return 0.0
-    delta = (m_left - m_right) / (2.0 * denom)
-    return float(np.clip(delta, -0.5, 0.5)) * bin_width
+    denom = np.asarray(m_left - 2.0 * m_center + m_right, dtype=float)
+    delta = np.divide(m_left - m_right, 2.0 * denom, out=np.zeros(denom.shape),
+                      where=denom != 0.0)
+    offset = np.clip(delta, -0.5, 0.5) * bin_width
+    return float(offset) if offset.ndim == 0 else offset
 
 
 def _check_frame_grids(spec: Spectrogram, env: Envelope) -> None:
@@ -157,13 +157,10 @@ def track(spec: Spectrogram, env: Envelope, config: TrackerConfig | None = None)
     f0 = spec.freq_bins[peak_bins].copy()
     if config.refine_peak:
         mags = spec.magnitudes
-        last_bin = mags.shape[0] - 1
-        for j in np.flatnonzero(voiced):
-            k = peak_bins[j]
-            if 0 < k < last_bin:
-                f0[j] += refine_peak(
-                    mags[k - 1, j], mags[k, j], mags[k + 1, j], spec.bin_width
-                )
+        cols = np.flatnonzero(voiced & (peak_bins > 0) & (peak_bins < mags.shape[0] - 1))
+        k = peak_bins[cols]
+        f0[cols] += refine_peak(mags[k - 1, cols], mags[k, cols], mags[k + 1, cols],
+                                spec.bin_width)
         np.clip(f0, config.f_min, config.f_max, out=f0)
 
     f0[~voiced] = np.nan

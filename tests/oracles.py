@@ -120,3 +120,73 @@ def cepstrum_scan(frame: np.ndarray, window: np.ndarray,
             acc += 2.0 * log_mag[k] * math.cos(2.0 * math.pi * k * q / n)
         out[q] = acc / n
     return out
+
+
+def _parabola(left: float, center: float, right: float) -> float:
+    """Vertex offset of a parabola through three equally spaced points, in [-0.5, 0.5]."""
+    denom = left - 2.0 * center + right
+    if denom == 0.0:
+        return 0.0
+    return min(0.5, max(-0.5, 0.5 * (left - right) / denom))
+
+
+def acf_pick(norm: np.ndarray, r0: float, tau_min: int):
+    """Per-frame autocorrelation rule on one row of normalized values.
+
+    ``norm[i]`` is the normalized ACF at lag ``tau_min + i``. Takes the first
+    maximum, voices it at >= 0.5 and refines it unless it sits on either end
+    of the window. Returns (lag, sub-lag offset, strength, voiced).
+    """
+    if r0 <= 0.0:
+        return tau_min, 0.0, 0.0, False
+    best = 0
+    for i in range(1, len(norm)):
+        if norm[i] > norm[best]:
+            best = i
+    delta = 0.0
+    if 0 < best < len(norm) - 1:
+        delta = _parabola(norm[best - 1], norm[best], norm[best + 1])
+    return tau_min + best, delta, float(norm[best]), bool(norm[best] >= 0.5)
+
+
+def yin_pick(dn: np.ndarray, tau_min: int, tau_max: int, threshold: float):
+    """Per-frame YIN rule on one row ``dn`` of d'(tau) for lags 0..tau_max.
+
+    The first lag in [tau_min, tau_max] under ``threshold`` is walked
+    downhill while d' keeps falling, then refined unless it is tau_max.
+    Rows that never cross are unvoiced with strength 1 - min d' over the
+    window. Returns (lag, sub-lag offset, strength, voiced).
+    """
+    for tau in range(tau_min, tau_max + 1):
+        if dn[tau] < threshold:
+            while tau + 1 <= tau_max and dn[tau + 1] < dn[tau]:
+                tau += 1
+            delta = 0.0
+            if tau + 1 <= tau_max:
+                delta = _parabola(dn[tau - 1], dn[tau], dn[tau + 1])
+            return tau, delta, 1.0 - float(dn[tau]), True
+    lowest = dn[tau_min]
+    for tau in range(tau_min + 1, tau_max + 1):
+        lowest = min(lowest, dn[tau])
+    return tau_min, 0.0, 1.0 - float(lowest), False
+
+
+def cepstrum_pick(region: np.ndarray, tau_min: int):
+    """Per-frame cepstrum rule on one row of cepstral values over the lag window.
+
+    Takes the first maximum and voices it when it exceeds four times the
+    median absolute value of the row; refined unless on either end.
+    Returns (lag, sub-lag offset, strength, voiced).
+    """
+    best = 0
+    for i in range(1, len(region)):
+        if region[i] > region[best]:
+            best = i
+    mags = sorted(abs(float(v)) for v in region)
+    mid = len(mags) // 2
+    floor = mags[mid] if len(mags) % 2 else (mags[mid - 1] + mags[mid]) / 2.0
+    delta = 0.0
+    if 0 < best < len(region) - 1:
+        delta = _parabola(region[best - 1], region[best], region[best + 1])
+    peak = float(region[best])
+    return tau_min + best, delta, peak, peak > 4.0 * floor

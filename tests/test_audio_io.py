@@ -10,6 +10,7 @@ from f0kit import (
     AudioClip,
     EmptyAudioError,
     MalformedHeaderError,
+    NonFiniteSamplesError,
     NonMonoError,
     UnsupportedEncodingError,
     downmix,
@@ -171,3 +172,21 @@ def test_write_read_round_trip_property(tmp_path_factory, samples, sample_rate):
     again = load_wav(path)
     assert again.sample_rate == sample_rate
     assert np.array_equal(again.samples, clip.samples)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clip_rejects_non_finite(bad):
+    samples = np.zeros(64)
+    samples[10] = bad
+    with pytest.raises(NonFiniteSamplesError):
+        AudioClip(samples=samples, sample_rate=8000, channels=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_float_wav_with_non_finite_sample_rejected(tmp_path, bad):
+    samples = np.full(256, 0.25, dtype="<f4")
+    samples[100] = bad
+    path = tmp_path / "nan.wav"
+    path.write_bytes(build_wav(samples, format_tag=3, bits=32))
+    with pytest.raises(NonFiniteSamplesError):
+        load_wav(path)

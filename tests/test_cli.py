@@ -1,13 +1,17 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 
-from f0kit import SynthSpec, synthesize, write_wav
+from f0kit import SynthSpec, cli, synthesize, write_wav
 from f0kit.cli import build_parser, exit_code_for, main
 from f0kit.errors import (
     ClipTooShortError,
     ConfigError,
     EmptyBandError,
     MalformedHeaderError,
+    NonFiniteSamplesError,
 )
 
 
@@ -171,3 +175,94 @@ class TestFlagScope:
 def test_parser_rejects_unknown_method():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["track", "x.wav", "--method", "praat"])
+
+
+def _float_wav(samples: np.ndarray, sample_rate: int = 44100) -> bytes:
+    """Mono 32-bit float WAV bytes, written by hand so NaN gets through."""
+    payload = np.asarray(samples, dtype="<f4").tobytes()
+    fmt = struct.pack("<HHIIHH", 3, 1, sample_rate, sample_rate * 4, 4, 32)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(payload)) + payload)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+class TestGuards:
+    def test_nan_sample_exits_14(self, tmp_path, capsys):
+        clip, _ = synthesize(SynthSpec.tone(2000.0, duration=1.0), 44100)
+        samples = np.array(clip.samples)
+        samples[1000] = np.nan
+        path = tmp_path / "nan.wav"
+        path.write_bytes(_float_wav(samples))
+        out = tmp_path / "t.txt"
+        code = main(["track", str(path), "--out", str(out)])
+        assert code == 14 == exit_code_for(NonFiniteSamplesError(""))
+        captured = capsys.readouterr()
+        assert "voiced=" not in captured.out
+        assert "NonFiniteSamplesError" in captured.err
+        assert not out.exists()
+
+    def _two_inputs_named_a(self, tmp_path):
+        clip, _ = synthesize(SynthSpec.tone(1000.0, duration=0.5), 44100)
+        paths = []
+        for sub in ("x", "y"):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "a.wav")
+            write_wav(paths[-1], clip)
+        return [str(p) for p in paths]
+
+    def test_colliding_tables_fail_before_any_work(self, tmp_path, capsys):
+        inputs = self._two_inputs_named_a(tmp_path)
+        out_dir = tmp_path / "d"
+        code = main(["track", *inputs, "--out", f"{out_dir}{os.sep}"])
+        assert code == 2 == exit_code_for(ConfigError(""))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "would both write" in captured.err
+        assert not list(tmp_path.rglob("*.f0.*"))
+
+    def test_colliding_plots_fail(self, tmp_path, capsys):
+        # tables go next to their inputs and differ; the plots collide
+        inputs = self._two_inputs_named_a(tmp_path)
+        code = main(["track", *inputs, "--plot", str(tmp_path / "p")])
+        assert code == 2
+        assert "a.f0.svg" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.f0.*"))
+
+    def test_same_input_twice_collides(self, tone_wav, tmp_path, capsys):
+        code = main(["track", str(tone_wav), str(tone_wav),
+                     "--out", str(tmp_path / "d")])
+        assert code == 2
+
+    def test_worker_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("F0_NUM_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._worker_count(8) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert cli._worker_count(8) == 3
+        assert cli._worker_count(2) == 2
+
+    def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("F0_NUM_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._worker_count(8) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._worker_count(8) == 1
+
+    @pytest.mark.parametrize("method", ["acf", "yin", "cepstrum"])
+    def test_baselines_skip_the_spectrogram(self, tone_wav, tmp_path, capsys,
+                                            monkeypatch, method):
+        def unused(*args):
+            raise AssertionError("spectrogram/envelope computed but not used")
+
+        monkeypatch.setattr(cli, "spectrogram", unused)
+        monkeypatch.setattr(cli, "envelope", unused)
+        assert main(["track", str(tone_wav), "--method", method,
+                     "--out", str(tmp_path / "t.txt")]) == 0
+
+    def test_baseline_plot_still_gets_the_spectrogram(self, tone_wav, tmp_path, capsys):
+        plot = tmp_path / "p.svg"
+        assert main(["track", str(tone_wav), "--method", "yin",
+                     "--out", str(tmp_path / "t.txt"), "--plot", str(plot)]) == 0
+        assert plot.read_text().count("<rect ") > 1

@@ -222,3 +222,29 @@ def test_scaling_invariance_property(seed, scale):
     b = analyze(scaled)
     assert np.array_equal(a.voiced, b.voiced)
     assert np.array_equal(a.f0, b.f0, equal_nan=True)
+
+
+def test_refine_peak_arrays_match_scalar_calls(rng):
+    left, center, right = rng.uniform(0.0, 1.0, (3, 500))
+    center[:50] = left[:50]  # plateaus clamp to +-0.5
+    left[50:60] = center[50:60] = right[50:60]  # collinear: offset 0
+    offsets = refine_peak(left, center, right, BIN_WIDTH)
+    for j in range(500):
+        assert offsets[j] == refine_peak(left[j], center[j], right[j], BIN_WIDTH)
+    assert isinstance(refine_peak(1.0, 2.0, 1.5, BIN_WIDTH), float)
+
+
+def test_refined_track_matches_per_frame_refinement(rng):
+    clip = random_clip(rng, 44100)
+    spec_cfg = SpectrogramConfig()
+    spec, env = spectrogram(clip, spec_cfg), envelope(clip, spec_cfg)
+    plain = track(spec, env, TrackerConfig(peak_threshold_db=-20.0))
+    refined = track(spec, env, TrackerConfig(peak_threshold_db=-20.0, refine_peak=True))
+    mags, last = spec.magnitudes, spec.magnitudes.shape[0] - 1
+    assert plain.voiced.any()
+    for j in np.flatnonzero(plain.voiced):
+        k = int(round(plain.f0[j] / spec.bin_width))
+        want = plain.f0[j]
+        if 0 < k < last:
+            want += refine_peak(mags[k - 1, j], mags[k, j], mags[k + 1, j], spec.bin_width)
+        assert refined.f0[j] == min(max(want, 800.0), 8000.0)

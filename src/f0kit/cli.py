@@ -206,9 +206,10 @@ def _worker_count(n_inputs: int) -> int:
 
 
 def _plan(args) -> list[tuple[str, Path, Path | None]]:
-    """(input, table path, plot path) per input; no two outputs may share a path."""
+    """(input, table path, plot path) per input; no output may share a path with
+    another output or with an input."""
     multi = len(args.inputs) > 1
-    jobs, claimed = [], {}
+    jobs, claimed = [], dict.fromkeys(Path(name).resolve() for name in args.inputs)
     for name in args.inputs:
         input_path = Path(name)
         table_path = _destination(args.out, input_path, ".f0.txt", multi)
@@ -216,6 +217,8 @@ def _plan(args) -> list[tuple[str, Path, Path | None]]:
                      if args.plot is not None else None)
         for path in filter(None, (table_path, plot_path)):
             key = path.resolve()
+            if key in claimed and claimed[key] is None:
+                raise ConfigError(f"{name} would write {path} over an input")
             if key in claimed:
                 raise ConfigError(f"{claimed[key]} and {name} would both write {path}")
             claimed[key] = name

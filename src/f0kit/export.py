@@ -11,6 +11,7 @@ variation between runs.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import IO
 
 import numpy as np
@@ -40,10 +41,9 @@ def export_table(track: PitchTrack, stream: IO[str]) -> int:
     """
     if track.n_frames == 0:
         raise ValueError("refusing to export an empty track")
-    stream.write("# time_s\tf0_hz\n")
-    for t, f0, is_voiced in zip(track.times, track.f0, track.voiced):
-        value = f"{f0:.3f}" if is_voiced else "nan"
-        stream.write(f"{t:.6f}\t{value}\n")
+    # PitchTrack holds NaN exactly on unvoiced frames, and NaN formats as "nan"
+    rows = map("{:.6f}\t{:.3f}\n".format, track.times.tolist(), track.f0.tolist())
+    stream.write("# time_s\tf0_hz\n" + "".join(rows))
     return track.n_frames
 
 
@@ -52,13 +52,25 @@ def _pool_max(a: np.ndarray, row_limit: int, col_limit: int) -> np.ndarray:
     rows, cols = a.shape
     fr = max(1, math.ceil(rows / row_limit))
     fc = max(1, math.ceil(cols / col_limit))
-    if fr == 1 and fc == 1:
-        return a
-    pad_r = (-rows) % fr
-    pad_c = (-cols) % fc
-    padded = np.pad(a, ((0, pad_r), (0, pad_c)), constant_values=_DB_FLOOR)
-    shaped = padded.reshape(padded.shape[0] // fr, fr, padded.shape[1] // fc, fc)
-    return shaped.max(axis=(1, 3))
+    padded = np.pad(a, ((0, -rows % fr), (0, -cols % fc)), constant_values=_DB_FLOOR)
+    pooled = reduce(np.maximum, (padded[i::fr] for i in range(fr)))
+    return reduce(np.maximum, (pooled[:, j::fc] for j in range(fc)))
+
+
+def _heatmap_runs(levels: np.ndarray):
+    """(column, first row, last row, level) arrays of the vertical runs of one level."""
+    n_rows = levels.shape[0]
+    flat = levels.T.ravel()  # column after column, each from row 0 up: drawing order
+    starts = np.diff(flat, prepend=flat[0]) != 0
+    starts[::n_rows] = True  # a run never continues into the next column
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], flat.size) - 1
+    return first // n_rows, first % n_rows, last % n_rows, flat[first]
+
+
+def _fixed2(values: np.ndarray) -> np.ndarray:
+    """Each value as a ``.2f`` string, in an object array for fancy indexing."""
+    return np.array(list(map("{:.2f}".format, values.tolist())), dtype=object)
 
 
 def _palette() -> list[str]:
@@ -94,7 +106,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 
 class _Scale:
-    """Affine map from data coordinates to pixel coordinates."""
+    """Affine map from data coordinates to pixel coordinates, elementwise on arrays."""
 
     def __init__(self, lo: float, hi: float, px_lo: float, px_hi: float):
         self.lo = lo
@@ -164,36 +176,24 @@ def render_plot(spectrogram: Spectrogram, track: PitchTrack,
 
     # --- panel 1: spectrogram heatmap ------------------------------------
     mags = spectrogram.magnitudes
-    peak = mags.max()
-    if peak > 0:
-        with np.errstate(divide="ignore"):
-            db = 20.0 * np.log10(mags / peak)
-        db = np.maximum(db, _DB_FLOOR)
-    else:
-        db = np.full(mags.shape, _DB_FLOOR)
+    # fmax takes -inf (a zero bin) and NaN (0/0: a silent clip) to the floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = np.fmax(20.0 * np.log10(mags / mags.max()), _DB_FLOOR)
     db = _pool_max(db, _MAX_ROWS, _MAX_COLS)
     levels = np.rint(db - _DB_FLOOR).astype(int)  # 0 .. 80
-    palette = _palette()
+    palette = np.array(_palette(), dtype=object)
     n_rows, n_cols = levels.shape
     cell_w = (width - left - right) / n_cols
     cell_h = h_spec / n_rows
     sy_spec = _Scale(f_lo, f_hi, spec_bot, spec_top)
-    for col in range(n_cols):
-        x = left + col * cell_w
-        row = 0
-        while row < n_rows:
-            run = row
-            level = levels[row, col]
-            while run + 1 < n_rows and levels[run + 1, col] == level:
-                run += 1
-            # row 0 is the lowest frequency, so it sits at the panel bottom
-            y_top = spec_bot - (run + 1) * cell_h
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y_top:.2f}" width="{cell_w + 0.05:.2f}" '
-                f'height="{(run - row + 1) * cell_h + 0.05:.2f}" '
-                f'fill="{palette[level]}"/>'
-            )
-            row = run + 1
+    # row 0 is the lowest frequency, so it sits at the panel bottom; a run's
+    # top edge depends only on its last row, its height only on its length
+    cols, first, last, run_levels = _heatmap_runs(levels)
+    stacked = np.arange(1, n_rows + 1) * cell_h
+    rect = f'<rect x="{{}}" y="{{}}" width="{cell_w + 0.05:.2f}" height="{{}}" fill="{{}}"/>'
+    parts.extend(map(rect.format, _fixed2(left + np.arange(n_cols) * cell_w)[cols],
+                     _fixed2(spec_bot - stacked)[last], _fixed2(stacked + 0.05)[last - first],
+                     palette[run_levels]))
     config = track.config
     for name in ("f_min", "f_max"):
         edge = getattr(config, name, None)
@@ -205,23 +205,18 @@ def render_plot(spectrogram: Spectrogram, track: PitchTrack,
 
     # --- panel 2: f0 scatter ---------------------------------------------
     sy_f0 = _Scale(f_lo, f_hi, f0_bot, f0_top)
-    for t, f0, is_voiced in zip(track.times, track.f0, track.voiced):
-        if is_voiced:
-            parts.append(
-                f'<circle class="f0" cx="{sx(float(t)):.2f}" '
-                f'cy="{sy_f0(float(f0)):.2f}" r="2.2" fill="#00797f" '
-                f'stroke="#003344" stroke-width="0.4"/>'
-            )
+    circle = ('<circle class="f0" cx="{:.2f}" cy="{:.2f}" r="2.2" fill="#00797f" '
+              'stroke="#003344" stroke-width="0.4"/>')
+    parts.extend(map(circle.format, sx(track.times[track.voiced]).tolist(),
+                     sy_f0(track.f0[track.voiced]).tolist()))
     y_axis(sy_f0, f_lo, f_hi, f0_top, f0_bot, "f0 (Hz)")
 
     # --- panel 3: envelope with silence gate -------------------------------
     env = envelope.values
     env_peak = float(env.max()) if len(env) and float(env.max()) > 0 else 1.0
     sy_env = _Scale(0.0, env_peak, env_bot, env_top)
-    points = " ".join(
-        f"{sx(float(t)):.2f},{sy_env(float(v)):.2f}"
-        for t, v in zip(envelope.frame_times, env)
-    )
+    points = " ".join(map("{:.2f},{:.2f}".format,
+                          sx(envelope.frame_times).tolist(), sy_env(env).tolist()))
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#2266cc" '
         f'stroke-width="1.2"/>'

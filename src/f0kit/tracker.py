@@ -144,8 +144,8 @@ def track(spec: Spectrogram, env: Envelope, config: TrackerConfig | None = None)
     peak_bins = band[rel_argmax]
     peak_mags = band_mags[rel_argmax, np.arange(n_frames)]
 
-    max_env = env.values.max() if n_frames else 0.0
-    global_max = spec.magnitudes.max() if n_frames else 0.0
+    max_env = env.values.max()
+    global_max = spec.magnitudes.max()
     silence_gate = max_env * db_to_ratio(config.silence_threshold_db)
     peak_gate = global_max * db_to_ratio(config.peak_threshold_db)
 

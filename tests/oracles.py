@@ -190,3 +190,70 @@ def cepstrum_pick(region: np.ndarray, tau_min: int):
         delta = _parabola(region[best - 1], region[best], region[best + 1])
     peak = float(region[best])
     return tau_min + best, delta, peak, peak > 4.0 * floor
+
+
+def pool_max_reshape(a: np.ndarray, row_limit: int, col_limit: int,
+                     floor: float = -80.0) -> np.ndarray:
+    """Max-pool to at most row_limit x col_limit cells via a padded 4-D reshape."""
+    rows, cols = a.shape
+    fr = max(1, math.ceil(rows / row_limit))
+    fc = max(1, math.ceil(cols / col_limit))
+    if fr == 1 and fc == 1:
+        return a
+    pad_r = (-rows) % fr
+    pad_c = (-cols) % fc
+    padded = np.pad(a, ((0, pad_r), (0, pad_c)), constant_values=floor)
+    shaped = padded.reshape(padded.shape[0] // fr, fr, padded.shape[1] // fc, fc)
+    return shaped.max(axis=(1, 3))
+
+
+def heatmap_runs(levels: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(col, first row, last row, level) of each vertical run of equal levels.
+
+    Walks every column from row 0 up, one cell at a time, in drawing order.
+    """
+    n_rows, n_cols = levels.shape
+    runs = []
+    for col in range(n_cols):
+        row = 0
+        while row < n_rows:
+            run = row
+            level = levels[row, col]
+            while run + 1 < n_rows and levels[run + 1, col] == level:
+                run += 1
+            runs.append((col, row, run, int(level)))
+            row = run + 1
+    return runs
+
+
+def heatmap_rects(magnitudes: np.ndarray, palette: list[str], *,
+                  left: float = 70.0, plot_width: float = 870.0,
+                  bottom: float = 260.0, height: float = 240.0,
+                  floor: float = -80.0, max_rows: int = 192,
+                  max_cols: int = 384) -> list[str]:
+    """The spectrogram panel's ``<rect>`` lines, one formatted run at a time.
+
+    The defaults are the plot layout: a 960 px wide canvas with 70/20 px
+    side margins and a 240 px spectrogram panel whose bottom sits at 260 px.
+    """
+    peak = magnitudes.max()
+    if peak > 0:
+        with np.errstate(divide="ignore"):
+            db = 20.0 * np.log10(magnitudes / peak)
+        db = np.maximum(db, floor)
+    else:
+        db = np.full(magnitudes.shape, floor)
+    levels = np.rint(pool_max_reshape(db, max_rows, max_cols, floor) - floor).astype(int)
+    n_rows, n_cols = levels.shape
+    cell_w = plot_width / n_cols
+    cell_h = height / n_rows
+    lines = []
+    for col, row, run, level in heatmap_runs(levels):
+        x = left + col * cell_w
+        y_top = bottom - (run + 1) * cell_h
+        lines.append(
+            f'<rect x="{x:.2f}" y="{y_top:.2f}" width="{cell_w + 0.05:.2f}" '
+            f'height="{(run - row + 1) * cell_h + 0.05:.2f}" '
+            f'fill="{palette[level]}"/>'
+        )
+    return lines

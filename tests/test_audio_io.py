@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from f0kit import (
     AudioClip,
     EmptyAudioError,
+    F0KitError,
     MalformedHeaderError,
     NonFiniteSamplesError,
     NonMonoError,
@@ -190,3 +191,63 @@ def test_float_wav_with_non_finite_sample_rejected(tmp_path, bad):
     path.write_bytes(build_wav(samples, format_tag=3, bits=32))
     with pytest.raises(NonFiniteSamplesError):
         load_wav(path)
+
+
+def load_or_typed_error(path):
+    """load_wav's result, or None when it raised an F0KitError; anything else propagates."""
+    try:
+        clip = load_wav(path)
+    except F0KitError:
+        return None
+    assert isinstance(clip, AudioClip)
+    return clip
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.binary(max_size=256))
+def test_load_wav_arbitrary_bytes_decode_or_raise_typed(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "any.wav"
+    path.write_bytes(raw)
+    load_or_typed_error(path)
+
+
+_fmt_bodies = st.builds(
+    lambda encoding, channels, rate, tail: struct.pack(
+        "<HHIIHH", encoding[0], channels, rate, 0, 0, encoding[1]) + tail,
+    st.sampled_from([(1, 16), (3, 32)]) | st.tuples(st.integers(0, 0xFFFF),
+                                                     st.integers(0, 0xFFFF)),
+    st.integers(1, 3) | st.integers(0, 0xFFFF),
+    st.sampled_from([8000, 44100]) | st.integers(0, 0xFFFFFFFF),
+    st.binary(max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fmt=_fmt_bodies,
+    extra=st.lists(st.tuples(st.binary(min_size=4, max_size=4), st.binary(max_size=16)),
+                   max_size=2),
+    data=st.binary(min_size=1, max_size=64),
+    tail=st.binary(max_size=12),
+    order=st.permutations(range(3)),
+    bad_size=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 0xFFFFFFFF)),
+)
+def test_load_wav_arbitrary_chunks_decode_or_raise_typed(tmp_path_factory, fmt, extra,
+                                                         data, tail, order, bad_size):
+    # a RIFF/WAVE header, then fmt, data and unknown chunks in any order, each
+    # padded to an even length, with at most one size field overwritten
+    groups = [[(b"fmt ", fmt)], extra, [(b"data", data)]]
+    chunks = [chunk for g in order for chunk in groups[g]]
+    sizes = [len(body) for _, body in chunks]
+    if bad_size is not None:
+        index, size = bad_size
+        sizes[index % len(sizes)] = size
+    body = b"WAVE" + b"".join(
+        chunk_id + struct.pack("<I", size) + body + b"\x00" * (len(body) & 1)
+        for (chunk_id, body), size in zip(chunks, sizes)) + tail
+    path = tmp_path_factory.mktemp("fuzz") / "chunks.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    clip = load_or_typed_error(path)
+    if clip is not None:
+        assert clip.n_frames >= 1 and clip.sample_rate >= 1
+        assert np.all(np.abs(clip.samples) <= 1.0)

@@ -266,3 +266,16 @@ class TestGuards:
         assert main(["track", str(tone_wav), "--method", "yin",
                      "--out", str(tmp_path / "t.txt"), "--plot", str(plot)]) == 0
         assert plot.read_text().count("<rect ") > 1
+
+    @pytest.mark.parametrize("flag,via", [("--out", "."), ("--plot", "sub/..")])
+    def test_output_over_the_input_fails_before_any_work(self, tone_wav, capsys,
+                                                         flag, via):
+        original = tone_wav.read_bytes()
+        # the --plot case reaches the input through a detour in its path
+        code = main(["track", str(tone_wav), flag, str(tone_wav.parent / via / tone_wav.name)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "over an input" in captured.err
+        assert tone_wav.read_bytes() == original
+        assert not list(tone_wav.parent.glob("*.f0.*"))

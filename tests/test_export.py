@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from f0kit import (
     synthesize,
     track,
 )
+from f0kit.export import _heatmap_runs, _palette, _pool_max
+from conftest import GOLDEN_DIR
+import oracles
 
 
 def analyzed_tone(f0=1000.0, duration=0.25, **tracker_kwargs):
@@ -123,3 +127,93 @@ class TestPlot:
         render_plot(spec, result, env, tmp_path / "plot.svg")
         assert np.array_equal(spec.magnitudes, mags_before)
         assert np.array_equal(result.f0, f0_before, equal_nan=True)
+
+
+def rich_clip():
+    """A harmonic stack, a silent gap and a chirp under low-level noise."""
+    clip, _ = synthesize(SynthSpec.concat(
+        SynthSpec.harmonic_stack(1200.0, (1.0, 0.5, 0.25), duration=0.3, amplitude=0.6),
+        SynthSpec.silence(duration=0.2),
+        SynthSpec.linear_chirp(1500.0, 3000.0, duration=0.4, amplitude=0.5),
+        noise_snr_db=60.0, seed=7), 44100)
+    return clip
+
+
+def analyzed(clip, cfg=None, **tracker_kwargs):
+    cfg = cfg or SpectrogramConfig()
+    spec = spectrogram(clip, cfg)
+    env = envelope(clip, cfg)
+    return spec, env, track(spec, env, TrackerConfig(**tracker_kwargs))
+
+
+def test_rich_clip_goldens(tmp_path):
+    # many heatmap runs, silent frames and refined f0 markers; the golden
+    # files were written by the per-cell loop renderer
+    spec, env, result = analyzed(rich_clip(), refine_peak=True)
+    table_path = tmp_path / "rich.f0.txt"
+    with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
+        export_table(result, fh)
+    svg_path = tmp_path / "rich.f0.svg"
+    render_plot(spec, result, env, svg_path)
+    golden_table = GOLDEN_DIR / "rich.f0.txt"
+    golden_svg = GOLDEN_DIR / "rich.f0.svg"
+    if os.environ.get("F0KIT_REGEN_GOLDEN"):
+        golden_table.write_bytes(table_path.read_bytes())
+        golden_svg.write_bytes(svg_path.read_bytes())
+        return
+    assert table_path.read_bytes() == golden_table.read_bytes()
+    assert svg_path.read_bytes() == golden_svg.read_bytes()
+
+
+def edge_case(name):
+    """(clip, spectrogram config) for one of the pooling edge shapes."""
+    if name == "no-pooling":  # 129 rows x 33 frames
+        tone, _ = synthesize(SynthSpec.tone(1000.0, duration=0.1), 44100)
+        return tone, SpectrogramConfig(window_size=256)
+    if name == "uneven-pooling":  # 257 rows / 2 and 407 frames / 2 leave remainders
+        stack, _ = synthesize(SynthSpec.harmonic_stack(
+            700.0, (1.0, 0.6, 0.3), duration=0.601, amplitude=0.8,
+            noise_snr_db=50.0, seed=3), 44100)
+        return stack, SpectrogramConfig(window_size=512, overlap=448)
+    if name == "all-floor":
+        silent, _ = synthesize(SynthSpec.silence(duration=0.5), 44100)
+        return silent, SpectrogramConfig()
+    tone, _ = synthesize(SynthSpec.tone(1000.0, duration=1024 / 44100), 44100)
+    return tone, SpectrogramConfig()  # single frame
+
+
+EDGE_SHAPES = {"no-pooling": (129, 33), "uneven-pooling": (257, 407),
+               "all-floor": (513, 42), "single-frame": (513, 1)}
+
+
+@pytest.mark.parametrize("name", EDGE_SHAPES)
+def test_heatmap_matches_per_cell_reference(tmp_path, name):
+    spec, env, result = analyzed(*edge_case(name))
+    assert spec.magnitudes.shape == EDGE_SHAPES[name]
+    path = tmp_path / "plot.svg"
+    render_plot(spec, result, env, path)
+    rects = [line for line in path.read_text().splitlines()
+             if line.startswith("<rect x=")]
+    assert rects == oracles.heatmap_rects(spec.magnitudes, _palette())
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 1), (1, 385), (193, 1), (192, 384), (193, 385),
+    (257, 769), (513, 515), (600, 1200), (1025, 97),
+])
+def test_pool_max_matches_reshape_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = np.maximum(rng.normal(-50.0, 20.0, shape), -80.0)
+    got = _pool_max(a, 192, 384)
+    want = oracles.pool_max_reshape(a, 192, 384)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape,high", [
+    ((1, 1), 3), ((1, 7), 3), ((9, 1), 2), ((12, 5), 1), ((40, 30), 2), ((192, 384), 81),
+])
+def test_heatmap_runs_match_walk_reference(shape, high):
+    levels = np.random.default_rng(shape[0] * 1000 + shape[1]).integers(0, high, shape)
+    runs = list(zip(*(a.tolist() for a in _heatmap_runs(levels))))
+    assert runs == oracles.heatmap_runs(levels)

@@ -143,7 +143,8 @@ def load_wav(path: str | Path) -> AudioClip:
         if bits != 32:
             raise UnsupportedEncodingError(f"{path}: {bits}-bit float not supported (32-bit only)")
         values = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4")
-        samples = values.astype(np.float64)  # NaN and inf stay, for AudioClip to reject
+        with np.errstate(invalid="ignore"):  # a signalling NaN warns as it is cast
+            samples = values.astype(np.float64)  # NaN and inf stay, for AudioClip to reject
         np.clip(samples, -1.0, 1.0, out=samples, where=np.isfinite(samples))
     else:
         raise UnsupportedEncodingError(f"{path}: WAVE format tag {tag} not supported")

@@ -18,10 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio_io import AudioClip, require_mono
-from .dsp import frame_signal, frame_times
+from .audio_io import AudioClip
+from .dsp import _blockwise, _framed
 from .errors import ConfigError
-from .tracker import PitchTrack, refine_peak
+from .tracker import PitchTrack, _refine_at, pick_max
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,6 @@ class BaselineConfig:
         return tau_min, tau_max
 
 
-_BLOCK = 64  # frames per FFT batch, so memory does not grow with clip length
-
 # d(tau) under this share of the frame energy is FFT rounding noise (at most
 # 3e-14 measured); it is zeroed, else it alone can voice a constant frame.
 _D_NOISE = 1e-12
@@ -88,12 +86,13 @@ def _fft_size(n: int) -> int:
 def autocorrelation(frames: np.ndarray, tau_max: int) -> np.ndarray:
     """r(tau) = sum_t x[t] x[t+tau] for tau = 0..tau_max, per frame."""
     size = _fft_size(frames.shape[1] + tau_max)  # no circular wrap-around
-    r = np.empty((len(frames), tau_max + 1))
-    for start in range(0, len(frames), _BLOCK):
-        spec = np.fft.rfft(frames[start : start + _BLOCK], size, axis=1)
+
+    def lag_products(block):
+        spec = np.fft.rfft(block, size, axis=1)
         power = spec.real * spec.real + spec.imag * spec.imag
-        r[start : start + _BLOCK] = np.fft.irfft(power, size, axis=1)[:, : tau_max + 1]
-    return r
+        return np.fft.irfft(power, size, axis=1)[:, : tau_max + 1]
+
+    return _blockwise(lag_products, frames, tau_max + 1)
 
 
 def difference(frames: np.ndarray, tau_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,9 +106,9 @@ def difference(frames: np.ndarray, tau_max: int) -> tuple[np.ndarray, np.ndarray
     w = frames.shape[1] // 2
     span = w + tau_max
     size = _fft_size(span)
-    d = np.empty((len(frames), tau_max + 1))
-    for start in range(0, len(frames), _BLOCK):
-        x = frames[start : start + _BLOCK, :span]
+
+    def differences(block):
+        x = block[:, :span]
         c = np.fft.irfft(np.fft.rfft(x[:, :w], size, axis=1).conj()
                          * np.fft.rfft(x, size, axis=1), size, axis=1)[:, : tau_max + 1]
         energy = np.zeros((len(x), span + 1))
@@ -117,7 +116,9 @@ def difference(frames: np.ndarray, tau_max: int) -> tuple[np.ndarray, np.ndarray
         e_tau = energy[:, w:] - energy[:, : tau_max + 1]
         rows = e_tau[:, :1] + e_tau - 2.0 * c
         rows[rows <= _D_NOISE * energy[:, -1:]] = 0.0
-        d[start : start + _BLOCK] = rows
+        return rows
+
+    d = _blockwise(differences, frames, tau_max + 1)
     d[:, 0] = 0.0
     # all-zero frames keep d'(tau) = 1
     cumulative = np.cumsum(d[:, 1:], axis=1)
@@ -125,12 +126,6 @@ def difference(frames: np.ndarray, tau_max: int) -> tuple[np.ndarray, np.ndarray
     np.divide(d[:, 1:] * np.arange(1.0, tau_max + 1), cumulative, out=dn[:, 1:],
               where=cumulative > 0.0)
     return d, dn
-
-
-def pick_max(rows: np.ndarray):
-    """Column of each row's first maximum, and that maximum."""
-    i = np.argmax(rows, axis=1)
-    return i, rows[np.arange(len(rows)), i]
 
 
 def pick_yin(dn: np.ndarray, tau_min: int, threshold: float):
@@ -151,23 +146,6 @@ def pick_yin(dn: np.ndarray, tau_min: int, threshold: float):
     return tau_min + i, 1.0 - value, voiced
 
 
-def _refine_at(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Parabolic sub-lag offset at ``rows[j, cols[j]]``; 0 at either end of a row."""
-    j = np.arange(len(rows))
-    last = rows.shape[1] - 1
-    delta = refine_peak(rows[j, np.maximum(cols - 1, 0)], rows[j, cols],
-                        rows[j, np.minimum(cols + 1, last)])
-    return np.where((cols > 0) & (cols < last), delta, 0.0)
-
-
-def _prepare(clip: AudioClip, config: BaselineConfig):
-    require_mono(clip)
-    frames = frame_signal(clip.samples, config.frame_size, config.hop)
-    times = frame_times(len(frames), config.frame_size, config.hop, clip.sample_rate)
-    tau_min, tau_max = config.lag_range(clip.sample_rate)
-    return frames, times, tau_min, tau_max
-
-
 def _finish(times, lags, strength, voiced, fs: int, config) -> PitchTrack:
     f0 = np.where(voiced, fs / np.clip(lags, fs / config.f_max, fs / config.f_min), np.nan)
     return PitchTrack(times=times, f0=f0, peak_magnitude=strength,
@@ -181,7 +159,8 @@ def autocorr_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> Pit
     reaches 0.5 after normalizing by the zero-lag energy.
     """
     config = config or BaselineConfig()
-    frames, times, tau_min, tau_max = _prepare(clip, config)
+    frames, times = _framed(clip, config.frame_size, config.hop)
+    tau_min, tau_max = config.lag_range(clip.sample_rate)
 
     r = autocorrelation(frames, tau_max)[:, tau_min:]
     r0 = np.einsum("ij,ij->i", frames, frames)[:, None]
@@ -201,7 +180,8 @@ def yin_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> PitchTra
     left unvoiced.
     """
     config = config or BaselineConfig()
-    frames, times, tau_min, tau_max = _prepare(clip, config)
+    frames, times = _framed(clip, config.frame_size, config.hop)
+    tau_min, tau_max = config.lag_range(clip.sample_rate)
 
     _, dn = difference(frames, tau_max)
     tau, strength, voiced = pick_yin(dn, tau_min, config.yin_threshold)
@@ -220,13 +200,15 @@ def cepstrum_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> Pit
     quefrency step low on dense stacks.
     """
     config = config or BaselineConfig()
-    frames, times, tau_min, tau_max = _prepare(clip, config)
-
+    frames, times = _framed(clip, config.frame_size, config.hop)
+    tau_min, tau_max = config.lag_range(clip.sample_rate)
     window = np.hamming(config.frame_size)
-    spectra = np.abs(np.fft.rfft(frames * window, axis=1))
-    cepstra = np.fft.irfft(np.log(spectra + 1e-12), axis=1)
 
-    region = cepstra[:, tau_min : tau_max + 1]
+    def quefrencies(block):
+        spectra = np.abs(np.fft.rfft(block * window, axis=1))
+        return np.fft.irfft(np.log(spectra + 1e-12), axis=1)[:, tau_min : tau_max + 1]
+
+    region = _blockwise(quefrencies, frames, tau_max - tau_min + 1)
     i, strength = pick_max(region)
     voiced = strength > 4.0 * np.median(np.abs(region), axis=1)
     return _finish(times, tau_min + i + _refine_at(region, i), strength, voiced,

@@ -131,19 +131,18 @@ def _dump_config(resolved: _Resolved) -> None:
 
 
 def _destination(base: str | None, input_path: Path, suffix: str,
-                 multi: bool) -> Path:
-    """Pick the output path for one input.
+                 multi: bool) -> tuple[Path, Path | None]:
+    """The output path for one input, and the directory it needs, if any.
 
     With several inputs (or when the target is a directory) ``base`` names a
-    directory and each file gets ``<stem><suffix>`` inside it.
+    directory and each file gets ``<stem><suffix>`` inside it. Creates nothing.
     """
     if base is None:
-        return input_path.with_name(input_path.stem + suffix)
+        return input_path.with_name(input_path.stem + suffix), None
     base_path = Path(base)
     if multi or base_path.is_dir() or str(base).endswith(os.sep):
-        base_path.mkdir(parents=True, exist_ok=True)
-        return base_path / (input_path.stem + suffix)
-    return base_path
+        return base_path / (input_path.stem + suffix), base_path
+    return base_path, None
 
 
 def _atomic_write(path: Path, write_to_tmp) -> None:
@@ -207,14 +206,16 @@ def _worker_count(n_inputs: int) -> int:
 
 def _plan(args) -> list[tuple[str, Path, Path | None]]:
     """(input, table path, plot path) per input; no output may share a path with
-    another output or with an input."""
+    another output or with an input. Directories are made after every check."""
     multi = len(args.inputs) > 1
     jobs, claimed = [], dict.fromkeys(Path(name).resolve() for name in args.inputs)
+    directories = {}  # ordered, so the first failing check is always the same
     for name in args.inputs:
         input_path = Path(name)
-        table_path = _destination(args.out, input_path, ".f0.txt", multi)
-        plot_path = (_destination(args.plot, input_path, ".f0.svg", multi)
-                     if args.plot is not None else None)
+        table_path, table_dir = _destination(args.out, input_path, ".f0.txt", multi)
+        plot_path, plot_dir = (_destination(args.plot, input_path, ".f0.svg", multi)
+                               if args.plot is not None else (None, None))
+        directories.update(dict.fromkeys(filter(None, (table_dir, plot_dir))))
         for path in filter(None, (table_path, plot_path)):
             key = path.resolve()
             if key in claimed and claimed[key] is None:
@@ -223,6 +224,12 @@ def _plan(args) -> list[tuple[str, Path, Path | None]]:
                 raise ConfigError(f"{claimed[key]} and {name} would both write {path}")
             claimed[key] = name
         jobs.append((name, table_path, plot_path))
+    for directory in directories:
+        nearest = next(p for p in (directory, *directory.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"cannot make output directory {directory}: {nearest} is a file")
+    for directory in directories:
+        directory.mkdir(parents=True, exist_ok=True)
     return jobs
 
 
@@ -232,7 +239,7 @@ def main(argv=None) -> int:
         resolved = _resolve(args)
         workers = _worker_count(len(args.inputs))
         jobs = _plan(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"f0: error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
     if args.dump_config:

@@ -23,7 +23,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio_io import AudioClip, require_mono
 from .errors import ClipTooShortError, ConfigError
 
-WINDOW_FUNCTIONS = ("hann", "hamming", "rectangular")
+_WINDOWS = {"hann": np.hanning, "hamming": np.hamming, "rectangular": np.ones}
+WINDOW_FUNCTIONS = tuple(_WINDOWS)
+# frames per batch, so temporaries do not grow with clip length; at 64 frames the
+# heap returned each block's temporaries to the OS and faulted them back in
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -58,11 +62,7 @@ class SpectrogramConfig:
         return self.window_size - self.overlap
 
     def window_array(self) -> np.ndarray:
-        if self.window_function == "hann":
-            return np.hanning(self.window_size)
-        if self.window_function == "hamming":
-            return np.hamming(self.window_size)
-        return np.ones(self.window_size)
+        return _WINDOWS[self.window_function](self.window_size)
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,7 @@ class Spectrogram:
 
     def __post_init__(self):
         for name in ("magnitudes", "freq_bins", "frame_times"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
+            getattr(self, name).setflags(write=False)
 
     @property
     def n_frames(self) -> int:
@@ -120,8 +119,18 @@ def frame_signal(samples: np.ndarray, window_size: int, hop: int) -> np.ndarray:
     return sliding_window_view(samples, window_size)[::hop]
 
 
-def frame_times(n_frames: int, window_size: int, hop: int, sample_rate: int) -> np.ndarray:
-    return (np.arange(n_frames) * hop + window_size / 2) / sample_rate
+def _framed(clip: AudioClip, size: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frames of a mono clip (see :func:`frame_signal`) and their centre times in seconds."""
+    frames = frame_signal(require_mono(clip).samples, size, hop)
+    return frames, (np.arange(len(frames)) * hop + size / 2) / clip.sample_rate
+
+
+def _blockwise(fn, frames: np.ndarray, width: int) -> np.ndarray:
+    """Row-wise ``fn`` over ``_BLOCK`` frames at a time, into one ``(n_frames, width)`` array."""
+    out = np.empty((len(frames), width))
+    for start in range(0, len(frames), _BLOCK):
+        out[start : start + _BLOCK] = fn(frames[start : start + _BLOCK])
+    return out
 
 
 def spectrogram(clip: AudioClip, config: SpectrogramConfig | None = None) -> Spectrogram:
@@ -136,14 +145,14 @@ def spectrogram(clip: AudioClip, config: SpectrogramConfig | None = None) -> Spe
         ClipTooShortError: fewer samples than ``window_size``.
     """
     config = config or SpectrogramConfig()
-    samples = require_mono(clip).samples
-    frames = frame_signal(samples, config.window_size, config.hop)
-    mags = np.abs(np.fft.rfft(frames * config.window_array(), axis=1)).T
-    freq_bins = np.arange(mags.shape[0]) * (clip.sample_rate / config.window_size)
+    frames, times = _framed(clip, config.window_size, config.hop)
+    window = config.window_array()
+    mags = _blockwise(lambda block: np.abs(np.fft.rfft(block * window, axis=1)),
+                      frames, config.window_size // 2 + 1).T
     return Spectrogram(
         magnitudes=mags,
-        freq_bins=freq_bins,
-        frame_times=frame_times(mags.shape[1], config.window_size, config.hop, clip.sample_rate),
+        freq_bins=np.arange(mags.shape[0]) * (clip.sample_rate / config.window_size),
+        frame_times=times,
         sample_rate=clip.sample_rate,
     )
 
@@ -156,10 +165,7 @@ def envelope(clip: AudioClip, config: SpectrogramConfig | None = None) -> Envelo
     without resampling.
     """
     config = config or SpectrogramConfig()
-    samples = require_mono(clip).samples
-    frames = frame_signal(samples, config.window_size, config.hop)
-    values = np.sqrt(np.mean(np.square(frames), axis=1))
-    return Envelope(
-        values=values,
-        frame_times=frame_times(len(values), config.window_size, config.hop, clip.sample_rate),
-    )
+    frames, times = _framed(clip, config.window_size, config.hop)
+    mean_square = _blockwise(lambda block: np.mean(np.square(block), axis=1, keepdims=True),
+                             frames, 1)
+    return Envelope(values=np.sqrt(mean_square).ravel(), frame_times=times)

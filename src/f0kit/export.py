@@ -175,11 +175,11 @@ def render_plot(spectrogram: Spectrogram, track: PitchTrack,
         text(left - 52, panel_top + 8, unit, anchor="start", size=11)
 
     # --- panel 1: spectrogram heatmap ------------------------------------
-    mags = spectrogram.magnitudes
+    # pool first, as log10 is monotonic; no window is all padding, and -80 < any magnitude
+    pooled = _pool_max(spectrogram.magnitudes, _MAX_ROWS, _MAX_COLS)
     # fmax takes -inf (a zero bin) and NaN (0/0: a silent clip) to the floor
     with np.errstate(divide="ignore", invalid="ignore"):
-        db = np.fmax(20.0 * np.log10(mags / mags.max()), _DB_FLOOR)
-    db = _pool_max(db, _MAX_ROWS, _MAX_COLS)
+        db = np.fmax(20.0 * np.log10(pooled / pooled.max()), _DB_FLOOR)
     levels = np.rint(db - _DB_FLOOR).astype(int)  # 0 .. 80
     palette = np.array(_palette(), dtype=object)
     n_rows, n_cols = levels.shape

@@ -106,12 +106,19 @@ def refine_peak(m_left, m_center, m_right, bin_width: float = 1.0):
     return float(offset) if offset.ndim == 0 else offset
 
 
-def _check_frame_grids(spec: Spectrogram, env: Envelope) -> None:
-    if spec.n_frames != env.n_frames or not np.array_equal(spec.frame_times, env.frame_times):
-        raise FrameGridMismatchError(
-            f"spectrogram ({spec.n_frames} frames) and envelope ({env.n_frames} frames) "
-            "were not computed on the same frame grid"
-        )
+def pick_max(rows: np.ndarray):
+    """Column of each row's first maximum, and that maximum."""
+    i = np.argmax(rows, axis=1)
+    return i, rows[np.arange(len(rows)), i]
+
+
+def _refine_at(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Parabolic sub-column offset at ``rows[j, cols[j]]``; 0 at either end of a row."""
+    j = np.arange(len(rows))
+    last = rows.shape[1] - 1
+    delta = refine_peak(rows[j, np.maximum(cols - 1, 0)], rows[j, cols],
+                        rows[j, np.minimum(cols + 1, last)])
+    return np.where((cols > 0) & (cols < last), delta, 0.0)
 
 
 def track(spec: Spectrogram, env: Envelope, config: TrackerConfig | None = None) -> PitchTrack:
@@ -129,7 +136,11 @@ def track(spec: Spectrogram, env: Envelope, config: TrackerConfig | None = None)
         EmptyBandError: no frequency bin lies inside the band.
     """
     config = config or TrackerConfig()
-    _check_frame_grids(spec, env)
+    if spec.n_frames != env.n_frames or not np.array_equal(spec.frame_times, env.frame_times):
+        raise FrameGridMismatchError(
+            f"spectrogram ({spec.n_frames} frames) and envelope ({env.n_frames} frames) "
+            "were not computed on the same frame grid"
+        )
 
     band = np.flatnonzero((spec.freq_bins >= config.f_min) & (spec.freq_bins <= config.f_max))
     if band.size == 0:
@@ -138,29 +149,22 @@ def track(spec: Spectrogram, env: Envelope, config: TrackerConfig | None = None)
             f"(bin width {spec.bin_width:.2f} Hz, Nyquist {spec.freq_bins[-1]:.1f} Hz)"
         )
 
-    n_frames = spec.n_frames
-    band_mags = spec.magnitudes[band, :]
-    rel_argmax = np.argmax(band_mags, axis=0)  # first hit on ties -> lowest frequency
-    peak_bins = band[rel_argmax]
-    peak_mags = band_mags[rel_argmax, np.arange(n_frames)]
+    rows = spec.magnitudes.T  # frame x bin
+    # the bins ascend, so the band is one slice; first maximum -> lowest frequency
+    rel_bins, peak_mags = pick_max(rows[:, band[0] : band[-1] + 1])
+    peak_bins = band[0] + rel_bins
 
     max_env = env.values.max()
     global_max = spec.magnitudes.max()
     silence_gate = max_env * db_to_ratio(config.silence_threshold_db)
     peak_gate = global_max * db_to_ratio(config.peak_threshold_db)
 
-    if max_env == 0.0 or global_max == 0.0:
-        voiced = np.zeros(n_frames, dtype=bool)
-    else:
-        voiced = (env.values >= silence_gate) & (peak_mags >= peak_gate)
+    voiced = ((env.values >= silence_gate) & (peak_mags >= peak_gate)
+              & (max_env > 0.0) & (global_max > 0.0))
 
-    f0 = spec.freq_bins[peak_bins].copy()
+    f0 = spec.freq_bins[peak_bins]
     if config.refine_peak:
-        mags = spec.magnitudes
-        cols = np.flatnonzero(voiced & (peak_bins > 0) & (peak_bins < mags.shape[0] - 1))
-        k = peak_bins[cols]
-        f0[cols] += refine_peak(mags[k - 1, cols], mags[k, cols], mags[k + 1, cols],
-                                spec.bin_width)
+        f0 += _refine_at(rows, peak_bins) * spec.bin_width
         np.clip(f0, config.f_min, config.f_max, out=f0)
 
     f0[~voiced] = np.nan

@@ -7,8 +7,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from f0kit import AudioClip, SynthSpec, synthesize
+from f0kit.dsp import _BLOCK
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# frame counts on either side of one, two and four analysis blocks
+BLOCK_EDGE_FRAMES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                     2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 4 * _BLOCK + 1]
 
 
 @pytest.fixture

@@ -2,7 +2,10 @@
 
 Everything here is written as literal summation loops or O(N^2) matrix
 products so a bug in the library's FFT plumbing cannot hide in the tests.
-Keep these dumb; speed does not matter at test sizes.
+Keep these dumb; speed does not matter at test sizes. The ``whole_clip_*``
+expressions are the one exception: they are the analysis as it ran before
+it moved to blocks of frames, kept so the blocked code is pinned to it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -120,6 +123,23 @@ def cepstrum_scan(frame: np.ndarray, window: np.ndarray,
             acc += 2.0 * log_mag[k] * math.cos(2.0 * math.pi * k * q / n)
         out[q] = acc / n
     return out
+
+
+def whole_clip_magnitudes(frames: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Spectrogram magnitudes, (bins x frames), from one rfft over every frame."""
+    return np.abs(np.fft.rfft(frames * window, axis=1)).T
+
+
+def whole_clip_rms(frames: np.ndarray) -> np.ndarray:
+    """Per-frame RMS from one mean over every frame."""
+    return np.sqrt(np.mean(np.square(frames), axis=1))
+
+
+def whole_clip_cepstrum_region(frames: np.ndarray, tau_min: int, tau_max: int) -> np.ndarray:
+    """Real cepstra of Hamming-windowed frames at lags tau_min..tau_max."""
+    spectra = np.abs(np.fft.rfft(frames * np.hamming(frames.shape[1]), axis=1))
+    cepstra = np.fft.irfft(np.log(spectra + 1e-12), axis=1)
+    return cepstra[:, tau_min : tau_max + 1]
 
 
 def _parabola(left: float, center: float, right: float) -> float:

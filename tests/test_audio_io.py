@@ -193,6 +193,18 @@ def test_float_wav_with_non_finite_sample_rejected(tmp_path, bad):
         load_wav(path)
 
 
+def test_signalling_nan_rejected_without_a_warning(tmp_path, recwarn):
+    # a quiet NaN casts silently; a signalling one (0x7f800001) warns as it
+    # is cast to float64, before the clip rejects it
+    samples = np.full(256, 0.25, dtype="<f4")
+    samples.view("<u4")[100] = 0x7F800001
+    path = tmp_path / "snan.wav"
+    path.write_bytes(build_wav(samples, format_tag=3, bits=32))
+    with pytest.raises(NonFiniteSamplesError):
+        load_wav(path)
+    assert not recwarn.list
+
+
 def load_or_typed_error(path):
     """load_wav's result, or None when it raised an F0KitError; anything else propagates."""
     try:

@@ -279,3 +279,44 @@ class TestGuards:
         assert "over an input" in captured.err
         assert tone_wav.read_bytes() == original
         assert not list(tone_wav.parent.glob("*.f0.*"))
+
+
+class TestPlanningIsPure:
+    """A run refused while planning exits 2 and leaves the file system as it was."""
+
+    def _refused(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 == exit_code_for(ConfigError(""))
+        assert captured.out == ""
+        assert captured.err.startswith("f0: error: ")
+        assert "Traceback" not in captured.err
+        return captured.err
+
+    def test_collision_creates_no_directory(self, tone_wav, tmp_path, capsys):
+        new_dir = tmp_path / "newdir"
+        err = self._refused(["track", str(tone_wav), str(tone_wav),
+                             "--out", f"{new_dir}{os.sep}"], capsys)
+        assert "would both write" in err
+        assert not new_dir.exists()
+
+    def test_output_directory_that_is_a_file(self, tone_wav, tmp_path, capsys):
+        other = tmp_path / "other.wav"
+        other.write_bytes(tone_wav.read_bytes())
+        note = tmp_path / "note.txt"
+        note.write_text("keep me\n")
+        plots = tmp_path / "plots"
+        err = self._refused(["track", str(tone_wav), str(other), "--plot", str(plots),
+                             "--out", str(note)], capsys)
+        assert "note.txt is a file" in err
+        assert note.read_text() == "keep me\n"
+        assert not plots.exists()
+        assert not list(tmp_path.rglob("*.f0.*"))
+
+    def test_file_further_up_the_output_path(self, tone_wav, tmp_path, capsys):
+        note = tmp_path / "note.txt"
+        note.write_text("keep me\n")
+        err = self._refused(["track", str(tone_wav), "--plot",
+                             f"{note / 'sub'}{os.sep}"], capsys)
+        assert "note.txt is a file" in err
+        assert note.read_text() == "keep me\n"

@@ -13,8 +13,9 @@ from f0kit import (
     envelope,
     spectrogram,
 )
-from conftest import random_clip
-from oracles import naive_dft_magnitudes, naive_rms
+from conftest import BLOCK_EDGE_FRAMES, random_clip
+from f0kit.dsp import frame_signal
+from oracles import naive_dft_magnitudes, naive_rms, whole_clip_magnitudes, whole_clip_rms
 
 
 def make_clip(samples, sample_rate=44100):
@@ -187,3 +188,21 @@ def test_frame_count_property(n_samples, window_size, seed):
     assert spec.n_frames == (n_samples - window_size) // cfg.hop + 1
     assert isinstance(spec, Spectrogram)
     assert spec.magnitudes.shape == (window_size // 2 + 1, spec.n_frames)
+
+
+@pytest.mark.parametrize("n_frames", BLOCK_EDGE_FRAMES)
+@pytest.mark.parametrize("window_function,window", [
+    ("hann", np.hanning), ("hamming", np.hamming), ("rectangular", np.ones)])
+def test_blocked_analysis_matches_whole_clip(rng, n_frames, window_function, window):
+    cfg = SpectrogramConfig(window_size=256, overlap=192, window_function=window_function)
+    # plus a tail shorter than one hop, which framing drops
+    clip = random_clip(rng, 256 + (n_frames - 1) * cfg.hop + 37)
+    frames = frame_signal(clip.samples, 256, cfg.hop)
+    spec = spectrogram(clip, cfg)
+    env = envelope(clip, cfg)
+    assert spec.n_frames == env.n_frames == n_frames
+    assert np.array_equal(spec.magnitudes, whole_clip_magnitudes(frames, window(256)))
+    assert np.array_equal(env.values, whole_clip_rms(frames))
+    times = (np.arange(n_frames) * cfg.hop + 128) / clip.sample_rate
+    assert np.array_equal(spec.frame_times, times)
+    assert np.array_equal(env.frame_times, times)

@@ -16,7 +16,7 @@ from f0kit import (
     synthesize,
     track,
 )
-from f0kit.export import _heatmap_runs, _palette, _pool_max
+from f0kit.export import _DB_FLOOR, _heatmap_runs, _palette, _pool_max
 from conftest import GOLDEN_DIR
 import oracles
 
@@ -217,3 +217,20 @@ def test_heatmap_runs_match_walk_reference(shape, high):
     levels = np.random.default_rng(shape[0] * 1000 + shape[1]).integers(0, high, shape)
     runs = list(zip(*(a.tolist() for a in _heatmap_runs(levels))))
     assert runs == oracles.heatmap_runs(levels)
+
+
+@pytest.mark.parametrize("peak", [1.0, 0.37, 517.3, 3.1e-6])
+def test_db_conversion_never_decreases_across_level_edges(peak):
+    # the heatmap max-pools magnitudes before converting them to dB; that
+    # picks the same cells as pooling the dB values only while
+    # m -> 20*log10(m / peak) never decreases, so check every float64 near
+    # the floor and near each edge where the rounded level steps up
+    for db_edge in [_DB_FLOOR] + [_DB_FLOOR + k + 0.5 for k in range(80)]:
+        edge = peak * 10.0 ** (db_edge / 20.0)
+        m = (np.array([edge]).view(np.int64) + np.arange(-300, 301)).view(np.float64)
+        assert np.all(np.diff(m) > 0)  # a run of adjacent floats
+        db = 20.0 * np.log10(m / peak)
+        assert np.all(np.diff(db) >= 0), db_edge
+        levels = np.rint(np.fmax(db, _DB_FLOOR) - _DB_FLOOR)
+        assert np.all(np.diff(levels) >= 0), db_edge
+        assert levels[0] < levels[-1] or db_edge == _DB_FLOOR

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from f0kit import (
+    AudioClip,
     BaselineConfig,
     SynthSpec,
     autocorr_pitch,
@@ -18,9 +19,18 @@ from f0kit import (
     synthesize,
     yin_pitch,
 )
+from f0kit import baselines
 from f0kit.baselines import autocorrelation, difference, pick_max, pick_yin
 from f0kit.dsp import frame_signal
-from oracles import acf_pick, acf_scan, cepstrum_pick, yin_pick, yin_scan
+from conftest import BLOCK_EDGE_FRAMES
+from oracles import (
+    acf_pick,
+    acf_scan,
+    cepstrum_pick,
+    whole_clip_cepstrum_region,
+    yin_pick,
+    yin_scan,
+)
 
 SR = 44100
 
@@ -121,6 +131,26 @@ def test_blocks_do_not_change_lag_products():
     for j in (0, 63, 64, 65, len(frames) - 1):
         assert np.array_equal(r[j], autocorrelation(frames[j : j + 1], 110)[0])
         assert np.array_equal(d[j], difference(frames[j : j + 1], 110)[0][0])
+
+
+@pytest.mark.parametrize("n_frames", BLOCK_EDGE_FRAMES)
+def test_blocked_cepstrum_matches_whole_clip(monkeypatch, n_frames):
+    cfg = BaselineConfig(frame_size=512, hop=128, f_min=400.0)
+    tau_min, tau_max = cfg.lag_range(SR)
+    rng = np.random.default_rng(n_frames)
+    clip = AudioClip(samples=rng.uniform(-0.9, 0.9, 512 + (n_frames - 1) * 128 + 50),
+                     sample_rate=SR, channels=1)
+    regions = []
+
+    def spy(rows):
+        regions.append(rows)
+        return pick_max(rows)
+
+    monkeypatch.setattr(baselines, "pick_max", spy)
+    cepstrum_pitch(clip, cfg)
+    frames = frame_signal(clip.samples, 512, 128)
+    assert len(frames) == n_frames
+    assert np.array_equal(regions[0], whole_clip_cepstrum_region(frames, tau_min, tau_max))
 
 
 @pytest.fixture(scope="module")

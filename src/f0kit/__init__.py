@@ -5,7 +5,7 @@ envelope/peak gating, with classic autocorrelation, YIN and cepstrum
 detectors for comparison and a synthetic-signal generator for verification.
 """
 
-from .audio_io import AudioClip, downmix, load_wav, require_mono, write_wav
+from .audio_io import AudioClip, load_wav, write_wav
 from .baselines import BaselineConfig, autocorr_pitch, cepstrum_pitch, yin_pitch
 from .dsp import Envelope, Spectrogram, SpectrogramConfig, envelope, spectrogram
 from .errors import (
@@ -19,7 +19,6 @@ from .errors import (
     FrameGridMismatchError,
     MalformedHeaderError,
     NonFiniteSamplesError,
-    NonMonoError,
     UnsupportedEncodingError,
 )
 from .export import export_table, render_plot
@@ -43,7 +42,6 @@ __all__ = [
     "GroundTruth",
     "MalformedHeaderError",
     "NonFiniteSamplesError",
-    "NonMonoError",
     "PitchTrack",
     "Spectrogram",
     "SpectrogramConfig",
@@ -52,12 +50,10 @@ __all__ = [
     "UnsupportedEncodingError",
     "autocorr_pitch",
     "cepstrum_pitch",
-    "downmix",
     "envelope",
     "export_table",
     "load_wav",
     "render_plot",
-    "require_mono",
     "spectrogram",
     "synthesize",
     "track",

@@ -148,8 +148,7 @@ def pick_yin(dn: np.ndarray, tau_min: int, threshold: float):
 
 def _finish(times, lags, strength, voiced, fs: int, config) -> PitchTrack:
     f0 = np.where(voiced, fs / np.clip(lags, fs / config.f_max, fs / config.f_min), np.nan)
-    return PitchTrack(times=times, f0=f0, peak_magnitude=strength,
-                      voiced=voiced, config=config)
+    return PitchTrack(times=times, f0=f0, peak_magnitude=strength, config=config)
 
 
 def autocorr_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> PitchTrack:

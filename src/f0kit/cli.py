@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-``f0 track`` runs the full pipeline per input file: load, downmix, the
+``f0 track`` runs the full pipeline per input file: load (as mono), the
 spectrogram and envelope (specmax or --plot only), the pitch method, then
 table (and optional plot) export. Files run on a bounded thread pool and
 every output is written atomically, so a crashed run never leaves a
@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .audio_io import downmix, load_wav
+from .audio_io import load_wav
 from .baselines import BASELINES, BaselineConfig
 from .dsp import WINDOW_FUNCTIONS, SpectrogramConfig, envelope, spectrogram
 from .errors import ConfigError, F0KitError
@@ -135,14 +135,15 @@ def _destination(base: str | None, input_path: Path, suffix: str,
     """The output path for one input, and the directory it needs, if any.
 
     With several inputs (or when the target is a directory) ``base`` names a
-    directory and each file gets ``<stem><suffix>`` inside it. Creates nothing.
+    directory and each file gets ``<stem><suffix>`` inside it; otherwise it
+    names the file, and its parent is the directory needed. Creates nothing.
     """
     if base is None:
         return input_path.with_name(input_path.stem + suffix), None
     base_path = Path(base)
     if multi or base_path.is_dir() or str(base).endswith(os.sep):
         return base_path / (input_path.stem + suffix), base_path
-    return base_path, None
+    return base_path, base_path.parent
 
 
 def _atomic_write(path: Path, write_to_tmp) -> None:
@@ -163,7 +164,7 @@ def _atomic_write(path: Path, write_to_tmp) -> None:
 def _process_one(input_name: str, resolved: _Resolved, table_path: Path,
                  plot_path: Path | None, verbose: bool) -> str:
     started = time.perf_counter()
-    clip = downmix(load_wav(input_name))
+    clip = load_wav(input_name)
     if resolved.method == "specmax" or plot_path is not None:
         spec = spectrogram(clip, resolved.spectro)
         env = envelope(clip, resolved.spectro)

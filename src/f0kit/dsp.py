@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import AudioClip, require_mono
+from .audio_io import AudioClip
 from .errors import ClipTooShortError, ConfigError
 
 _WINDOWS = {"hann": np.hanning, "hamming": np.hamming, "rectangular": np.ones}
@@ -120,8 +120,8 @@ def frame_signal(samples: np.ndarray, window_size: int, hop: int) -> np.ndarray:
 
 
 def _framed(clip: AudioClip, size: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Frames of a mono clip (see :func:`frame_signal`) and their centre times in seconds."""
-    frames = frame_signal(require_mono(clip).samples, size, hop)
+    """Frames of a clip (see :func:`frame_signal`) and their centre times in seconds."""
+    frames = frame_signal(clip.samples, size, hop)
     return frames, (np.arange(len(frames)) * hop + size / 2) / clip.sample_rate
 
 
@@ -141,7 +141,6 @@ def spectrogram(clip: AudioClip, config: SpectrogramConfig | None = None) -> Spe
     ``window_size/2 + 1`` bins from 0 Hz up to the Nyquist frequency.
 
     Raises:
-        NonMonoError: clip has more than one channel.
         ClipTooShortError: fewer samples than ``window_size``.
     """
     config = config or SpectrogramConfig()

@@ -35,11 +35,6 @@ class NonFiniteSamplesError(F0KitError):
     exit_code = 14
 
 
-class NonMonoError(F0KitError):
-    """Operation requires a mono clip."""
-    exit_code = 7
-
-
 class FrameGridMismatchError(F0KitError):
     """Spectrogram and envelope were computed on different frame grids."""
     exit_code = 8

@@ -76,10 +76,10 @@ def _fixed2(values: np.ndarray) -> np.ndarray:
 def _palette() -> list[str]:
     """One hex color per integer dB step from the floor up to 0."""
     positions = np.array([p for p, _ in _COLOR_ANCHORS])
-    channels = np.array([c for _, c in _COLOR_ANCHORS], dtype=float)
+    colors = np.array([c for _, c in _COLOR_ANCHORS], dtype=float)
     levels = np.linspace(0.0, 1.0, int(-_DB_FLOOR) + 1)
     rgb = np.stack(
-        [np.rint(np.interp(levels, positions, channels[:, ch])) for ch in range(3)],
+        [np.rint(np.interp(levels, positions, colors[:, ch])) for ch in range(3)],
         axis=1,
     ).astype(int)
     return [f"#{r:02x}{g:02x}{b:02x}" for r, g, b in rgb]

@@ -68,17 +68,18 @@ class PitchTrack:
     times: np.ndarray
     f0: np.ndarray  # Hz; NaN where unvoiced
     peak_magnitude: np.ndarray
-    voiced: np.ndarray  # bool
     config: Any
 
     def __post_init__(self):
-        n = len(self.times)
-        if not (len(self.f0) == len(self.peak_magnitude) == len(self.voiced) == n):
+        if not len(self.times) == len(self.f0) == len(self.peak_magnitude):
             raise ValueError("track arrays must share one length")
-        if not np.array_equal(self.voiced, ~np.isnan(self.f0)):
-            raise ValueError("voiced flags must match f0 presence exactly")
-        for name in ("times", "f0", "peak_magnitude", "voiced"):
+        for name in ("times", "f0", "peak_magnitude"):
             getattr(self, name).setflags(write=False)
+
+    @property
+    def voiced(self) -> np.ndarray:
+        """True on the frames that carry an f0, i.e. where ``f0`` is not NaN."""
+        return ~np.isnan(self.f0)
 
     @property
     def n_frames(self) -> int:
@@ -168,10 +169,5 @@ def track(spec: Spectrogram, env: Envelope, config: TrackerConfig | None = None)
         np.clip(f0, config.f_min, config.f_max, out=f0)
 
     f0[~voiced] = np.nan
-    return PitchTrack(
-        times=spec.frame_times.copy(),
-        f0=f0,
-        peak_magnitude=peak_mags,
-        voiced=voiced,
-        config=config,
-    )
+    return PitchTrack(times=spec.frame_times.copy(), f0=f0, peak_magnitude=peak_mags,
+                      config=config)

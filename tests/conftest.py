@@ -30,4 +30,4 @@ def rng():
 def random_clip(rng, n_samples: int, sample_rate: int = 44100,
                 amplitude: float = 0.9) -> AudioClip:
     samples = rng.uniform(-amplitude, amplitude, n_samples)
-    return AudioClip(samples=samples, sample_rate=sample_rate, channels=1)
+    return AudioClip(samples=samples, sample_rate=sample_rate)

@@ -143,7 +143,7 @@ def test_criterion_06_oracle_equivalence():
     for _ in range(10):
         n = int(rng.integers(1024, 4097))
         samples = rng.uniform(-0.9, 0.9, n)
-        clip = AudioClip(samples=samples, sample_rate=SR, channels=1)
+        clip = AudioClip(samples=samples, sample_rate=SR)
         result = analyze(clip)
         bins, voiced = brute_force_track(samples, SR)
         frames_checked += len(bins)
@@ -165,10 +165,10 @@ def test_criterion_07_scaling_invariance():
     failures = 0
     for _ in range(3):
         base = AudioClip(samples=rng.uniform(-0.3, 0.3, 6000),
-                         sample_rate=SR, channels=1)
+                         sample_rate=SR)
         reference = analyze(base)
         for c in (0.01, 0.5, 3.0):
-            scaled = AudioClip(samples=base.samples * c, sample_rate=SR, channels=1)
+            scaled = AudioClip(samples=base.samples * c, sample_rate=SR)
             result = analyze(scaled)
             same = (np.array_equal(result.voiced, reference.voiced)
                     and np.array_equal(result.f0, reference.f0, equal_nan=True))

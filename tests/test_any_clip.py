@@ -59,7 +59,7 @@ def clips(draw):
         level = draw(st.sampled_from([1.0, 1e-3, 1e-300]))
         samples = rng.uniform(-level, level, n)
     rate = draw(st.sampled_from([8000, 22050, 44100, 96000]))
-    return AudioClip(samples=samples, sample_rate=rate, channels=1)
+    return AudioClip(samples=samples, sample_rate=rate)
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))

@@ -12,11 +12,8 @@ from f0kit import (
     F0KitError,
     MalformedHeaderError,
     NonFiniteSamplesError,
-    NonMonoError,
     UnsupportedEncodingError,
-    downmix,
     load_wav,
-    require_mono,
     write_wav,
 )
 
@@ -43,9 +40,8 @@ def test_load_pcm16_header_fields(tmp_path):
     path.write_bytes(build_wav(np.zeros(44100, dtype="<i2")))
     clip = load_wav(path)
     assert clip.sample_rate == 44100
-    assert clip.channels == 1
+    assert clip.samples.ndim == 1
     assert clip.duration == pytest.approx(1.0)
-    assert clip.is_mono()
 
 
 def test_pcm16_scaling_is_exact(tmp_path):
@@ -83,21 +79,45 @@ def test_stereo_load_and_downmix(tmp_path):
     path = tmp_path / "a.wav"
     frames = np.array([[100, 300], [-200, 200]], dtype="<i2")
     path.write_bytes(build_wav(frames))
-    clip = load_wav(path)
-    assert clip.channels == 2
-    assert not clip.is_mono()
-    with pytest.raises(NonMonoError):
-        require_mono(clip)
-    mono = downmix(clip)
-    assert mono.is_mono()
-    assert mono.samples.tolist() == [200 / 32768, 0.0]
+    clip = load_wav(path)  # a stereo file loads as the mean of its channels
+    assert clip.samples.ndim == 1
+    assert clip.samples.tolist() == [200 / 32768, 0.0]
 
 
-def test_downmix_keeps_mono_identical(tone_1khz):
-    clip, _ = tone_1khz
-    mono = downmix(clip)
-    assert mono.is_mono()
-    assert np.array_equal(mono.samples, clip.samples)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 64), channels=st.integers(1, 8),
+       float32=st.booleans())
+def test_load_wav_is_the_channel_mean(tmp_path_factory, data, n, channels, float32):
+    if float32:  # over-range values too: the decoder clips before it averages
+        frames = data.draw(arrays(np.float32, (n, channels),
+                                  elements=st.floats(-2.0, 2.0, width=32)))
+        raw = build_wav(frames.astype("<f4"), format_tag=3, bits=32)
+        decoded = np.clip(frames.astype(np.float64), -1.0, 1.0)
+    else:
+        frames = data.draw(arrays(np.int16, (n, channels)))
+        raw = build_wav(frames.astype("<i2"))
+        decoded = frames.astype(np.float64) / 32768
+    path = tmp_path_factory.mktemp("wav") / "multi.wav"
+    path.write_bytes(raw)
+    # one channel passes through as decoded: mean() would turn -0.0 into +0.0
+    expected = decoded.ravel() if channels == 1 else decoded.reshape(n, channels).mean(axis=1)
+    assert load_wav(path).samples.tobytes() == expected.tobytes()
+
+
+def test_stereo_inf_and_minus_inf_rejected_without_a_warning(tmp_path, recwarn):
+    # the frame's mean is NaN, which the clip rejects; the mean must not warn
+    frames = np.full((64, 2), 0.25, dtype="<f4")
+    frames[10] = [np.inf, -np.inf]
+    path = tmp_path / "infs.wav"
+    path.write_bytes(build_wav(frames, format_tag=3, bits=32))
+    with pytest.raises(NonFiniteSamplesError):
+        load_wav(path)
+    assert not recwarn.list
+
+
+def test_clip_rejects_two_dimensional_samples():
+    with pytest.raises(ValueError):
+        AudioClip(samples=np.zeros((64, 2)), sample_rate=8000)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -138,7 +158,7 @@ def test_missing_file_raises_oserror(tmp_path):
 
 def test_clip_rejects_overrange():
     with pytest.raises(ValueError):
-        AudioClip(samples=np.array([0.0, 1.5]), sample_rate=44100, channels=1)
+        AudioClip(samples=np.array([0.0, 1.5]), sample_rate=44100)
 
 
 def test_clip_samples_are_read_only(tone_1khz):
@@ -167,7 +187,7 @@ def test_write_read_round_trip_fixed(tmp_path, tone_1khz):
 )
 def test_write_read_round_trip_property(tmp_path_factory, samples, sample_rate):
     clip = AudioClip(samples=samples.astype(np.float64),
-                     sample_rate=sample_rate, channels=1)
+                     sample_rate=sample_rate)
     path = tmp_path_factory.mktemp("wav") / "rt.wav"
     write_wav(path, clip)
     again = load_wav(path)
@@ -180,7 +200,7 @@ def test_clip_rejects_non_finite(bad):
     samples = np.zeros(64)
     samples[10] = bad
     with pytest.raises(NonFiniteSamplesError):
-        AudioClip(samples=samples, sample_rate=8000, channels=1)
+        AudioClip(samples=samples, sample_rate=8000)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -25,7 +25,7 @@ def sine_period_100() -> AudioClip:
     # exactly 100 samples per cycle -> 441 Hz at 44.1 kHz
     t = np.arange(SR)
     samples = 0.8 * np.sin(2 * np.pi * t / 100.0)
-    return AudioClip(samples=samples, sample_rate=SR, channels=1)
+    return AudioClip(samples=samples, sample_rate=SR)
 
 
 WIDE = BaselineConfig(f_min=400.0, f_max=8000.0)
@@ -59,7 +59,7 @@ class TestConfig:
             BaselineConfig(**kwargs)
 
     def test_short_clip_rejected(self):
-        clip = AudioClip(samples=np.zeros(100), sample_rate=SR, channels=1)
+        clip = AudioClip(samples=np.zeros(100), sample_rate=SR)
         with pytest.raises(ClipTooShortError):
             autocorr_pitch(clip, BaselineConfig())
 
@@ -84,7 +84,7 @@ class TestAutocorr:
         assert np.all(result.peak_magnitude < 0.5)
 
     def test_all_zero_clip_unvoiced(self):
-        clip = AudioClip(samples=np.zeros(4096), sample_rate=SR, channels=1)
+        clip = AudioClip(samples=np.zeros(4096), sample_rate=SR)
         result = autocorr_pitch(clip, BaselineConfig())
         assert result.voiced_fraction() == 0.0
 
@@ -119,7 +119,7 @@ class TestYin:
         assert dn[100] < WIDE.yin_threshold
 
     def test_dc_constant_frame_unvoiced(self):
-        clip = AudioClip(samples=np.full(4096, 0.5), sample_rate=SR, channels=1)
+        clip = AudioClip(samples=np.full(4096, 0.5), sample_rate=SR)
         result = yin_pitch(clip, BaselineConfig())
         assert result.voiced_fraction() == 0.0
 
@@ -159,7 +159,7 @@ class TestCepstrum:
         assert np.all((f0 >= 800.0) & (f0 <= 8000.0))
 
     def test_all_zero_clip_unvoiced(self):
-        clip = AudioClip(samples=np.zeros(4096), sample_rate=SR, channels=1)
+        clip = AudioClip(samples=np.zeros(4096), sample_rate=SR)
         result = cepstrum_pitch(clip, BaselineConfig())
         assert result.voiced_fraction() == 0.0
 

@@ -1,15 +1,18 @@
 import os
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from f0kit import SynthSpec, cli, synthesize, write_wav
+from f0kit import SynthSpec, cli, errors, synthesize, write_wav
 from f0kit.cli import build_parser, exit_code_for, main
 from f0kit.errors import (
     ClipTooShortError,
     ConfigError,
     EmptyBandError,
+    F0KitError,
     MalformedHeaderError,
     NonFiniteSamplesError,
 )
@@ -100,6 +103,20 @@ class TestHappyPath:
         assert "baseline.yin_threshold=0.2" in out
         assert "tracker.f_min=800.0" in out
 
+    def test_verbose_reports_table_and_plot_on_stderr(self, tone_wav, capsys, tmp_path):
+        out, plot = tmp_path / "t.txt", tmp_path / "p.svg"
+        assert main(["track", str(tone_wav), "-v", "--out", str(out),
+                     "--plot", str(plot)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"f0: {tone_wav} -> {out} + {plot}\n"
+        assert re.fullmatch(rf"{re.escape(str(tone_wav))}: frames=85 voiced=100\.0% "
+                            r"elapsed=\d+\.\d ms\n", captured.out)
+
+    def test_single_file_destination_makes_its_directory(self, tone_wav, capsys, tmp_path):
+        out = tmp_path / "missing" / "deeper" / "x.txt"
+        assert main(["track", str(tone_wav), "--out", str(out)]) == 0
+        assert len(read_rows(out)) == 85
+
 
 class TestDiagnostics:
     def test_inverted_band_fails_validation(self, tone_wav, capsys, tmp_path):
@@ -151,6 +168,17 @@ class TestDiagnostics:
         monkeypatch.setenv("F0_NUM_THREADS", "zero")
         code = main(["track", str(tone_wav), "--out", str(tmp_path / "t.txt")])
         assert code == exit_code_for(ConfigError(""))
+
+    def test_readme_exit_code_table_matches_the_error_classes(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| code | condition |", 1)[1].split("\n\n", 1)[0]
+        documented = [int(code) for code in re.findall(r"^\| (\d+) \|", table, re.MULTILINE)]
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, F0KitError)]
+        by_class = [c.exit_code for c in classes]
+        assert len(set(by_class)) == len(by_class), "two error classes share an exit code"
+        others = [exit_code_for(RuntimeError()), exit_code_for(OSError())]  # 1 and 13
+        assert sorted(documented) == sorted(by_class + others)
 
 
 class TestFlagScope:
@@ -320,3 +348,11 @@ class TestPlanningIsPure:
                              f"{note / 'sub'}{os.sep}"], capsys)
         assert "note.txt is a file" in err
         assert note.read_text() == "keep me\n"
+
+    def test_single_file_destination_under_a_file(self, tone_wav, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("keep me\n")
+        err = self._refused(["track", str(tone_wav), "--out", str(afile / "x.txt")], capsys)
+        assert "afile is a file" in err
+        assert afile.read_text() == "keep me\n"
+        assert not list(tmp_path.rglob("*.tmp"))

@@ -7,7 +7,6 @@ from f0kit import (
     AudioClip,
     ClipTooShortError,
     ConfigError,
-    NonMonoError,
     Spectrogram,
     SpectrogramConfig,
     envelope,
@@ -20,7 +19,7 @@ from oracles import naive_dft_magnitudes, naive_rms, whole_clip_magnitudes, whol
 
 def make_clip(samples, sample_rate=44100):
     return AudioClip(samples=np.asarray(samples, dtype=float),
-                     sample_rate=sample_rate, channels=1)
+                     sample_rate=sample_rate)
 
 
 class TestConfig:
@@ -109,7 +108,7 @@ class TestSpectrogram:
     def test_linearity_in_amplitude(self, rng):
         clip = random_clip(rng, 2048, amplitude=0.25)
         scaled = AudioClip(samples=clip.samples * 3.0,
-                           sample_rate=clip.sample_rate, channels=1)
+                           sample_rate=clip.sample_rate)
         a = spectrogram(clip, SpectrogramConfig())
         b = spectrogram(scaled, SpectrogramConfig())
         np.testing.assert_allclose(b.magnitudes, 3.0 * a.magnitudes, rtol=1e-9)
@@ -118,7 +117,7 @@ class TestSpectrogram:
         cfg = SpectrogramConfig()
         clip = random_clip(rng, 4096)
         shifted = AudioClip(samples=clip.samples[cfg.hop:],
-                            sample_rate=clip.sample_rate, channels=1)
+                            sample_rate=clip.sample_rate)
         a = spectrogram(clip, cfg)
         b = spectrogram(shifted, cfg)
         assert np.array_equal(b.magnitudes, a.magnitudes[:, 1 : b.n_frames + 1])
@@ -126,11 +125,6 @@ class TestSpectrogram:
     def test_too_short_clip(self):
         with pytest.raises(ClipTooShortError):
             spectrogram(make_clip(np.zeros(1023)), SpectrogramConfig())
-
-    def test_non_mono_rejected(self):
-        stereo = AudioClip(samples=np.zeros((2048, 2)), sample_rate=44100, channels=2)
-        with pytest.raises(NonMonoError):
-            spectrogram(stereo, SpectrogramConfig())
 
     def test_magnitudes_nonnegative(self, rng):
         spec = spectrogram(random_clip(rng, 4096), SpectrogramConfig())

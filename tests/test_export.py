@@ -47,8 +47,7 @@ class TestTable:
     def test_unvoiced_written_as_nan(self):
         result = PitchTrack(
             times=np.array([0.0]), f0=np.array([np.nan]),
-            peak_magnitude=np.array([0.0]), voiced=np.array([False]),
-            config=TrackerConfig())
+            peak_magnitude=np.array([0.0]), config=TrackerConfig())
         buf = io.StringIO()
         export_table(result, buf)
         assert buf.getvalue().splitlines()[1] == "0.000000\tnan"
@@ -56,7 +55,6 @@ class TestTable:
     def test_empty_track_rejected(self):
         empty = PitchTrack(times=np.zeros(0), f0=np.zeros(0),
                            peak_magnitude=np.zeros(0),
-                           voiced=np.zeros(0, dtype=bool),
                            config=TrackerConfig())
         buf = io.StringIO()
         with pytest.raises(ValueError):

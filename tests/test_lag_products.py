@@ -139,7 +139,7 @@ def test_blocked_cepstrum_matches_whole_clip(monkeypatch, n_frames):
     tau_min, tau_max = cfg.lag_range(SR)
     rng = np.random.default_rng(n_frames)
     clip = AudioClip(samples=rng.uniform(-0.9, 0.9, 512 + (n_frames - 1) * 128 + 50),
-                     sample_rate=SR, channels=1)
+                     sample_rate=SR)
     regions = []
 
     def spy(rows):

@@ -31,22 +31,32 @@ _FORMAT_IEEE_FLOAT = 3
 _PCM16_SCALE = 1.0 / 32768.0
 
 
+def _freeze(obj, *names: str) -> None:
+    """Replace each named array field of a frozen dataclass by a read-only
+    view of it; the caller's own array stays writable and nothing is copied."""
+    for name in names:
+        view = getattr(obj, name).view()
+        view.setflags(write=False)
+        object.__setattr__(obj, name, view)
+
+
 @dataclass(frozen=True)
 class AudioClip:
     """Decoded mono audio held as float64 amplitudes in [-1, 1].
 
     ``samples`` is 1-D with shape ``(n_frames,)``; :func:`load_wav` averages
     a multichannel file down to it. Instances are immutable and safe to share
-    across threads.
+    across threads, as long as the caller does not change a float64 array it
+    passed in: ``samples`` is a read-only view of it, not a copy.
     """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        _freeze(self, "samples")
+        samples = self.samples
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         if samples.ndim != 1:

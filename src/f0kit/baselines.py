@@ -65,7 +65,7 @@ class BaselineConfig:
         if 2 * tau_max > self.frame_size:
             raise ConfigError(
                 f"frame_size {self.frame_size} is too short for f_min "
-                f"{self.f_min} Hz at {sample_rate} Hz (needs > {2 * tau_max})"
+                f"{self.f_min} Hz at {sample_rate} Hz (needs at least {2 * tau_max})"
             )
         return tau_min, tau_max
 

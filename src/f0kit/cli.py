@@ -15,7 +15,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import fields
 from pathlib import Path
 
 from .audio_io import load_wav
@@ -25,20 +25,15 @@ from .errors import ConfigError, F0KitError
 from .export import export_table, render_plot
 from .tracker import TrackerConfig, track
 
-METHODS = ("specmax", "acf", "yin", "cepstrum")
+METHODS = ("specmax", *BASELINES)
 
-# which flags matter for which method, for ignored-flag warnings
-_FLAG_SCOPE = {
-    "window": ("specmax",),
-    "overlap": ("specmax",),
-    "window_fn": ("specmax",),
-    "silence_db": ("specmax",),
-    "peak_db": ("specmax",),
-    "refine": ("specmax",),
-    "frame_size": ("acf", "yin", "cepstrum"),
-    "hop": ("acf", "yin", "cepstrum"),
-    "yin_threshold": ("yin",),
-}
+# flag -> the config field it sets; a run reads a flag if one of its configs
+# has that field (see _resolve)
+_FIELDS = {"fmin": "f_min", "fmax": "f_max", "window": "window_size",
+           "overlap": "overlap", "window_fn": "window_function",
+           "silence_db": "silence_threshold_db", "peak_db": "peak_threshold_db",
+           "refine": "refine_peak", "frame_size": "frame_size", "hop": "hop",
+           "yin_threshold": "yin_threshold"}
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -82,50 +77,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", default=None, metavar="PATH",
                    help="SVG destination; a directory when given several inputs")
     p.add_argument("--dump-config", action="store_true",
-                   help="print the fully resolved configuration before running")
+                   help="print the resolved configs this run reads before running")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="report per-file progress on stderr")
     return parser
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    method: str
-    spectro: SpectrogramConfig
-    tracker: TrackerConfig
-    baseline: BaselineConfig
+def _resolve(args) -> dict[type, object]:
+    """The configs this run reads, keyed by class, built from the flags given.
+
+    Specmax reads a ``TrackerConfig``, a baseline a ``BaselineConfig``, and
+    the spectrogram config is read by specmax and by every ``--plot``. Only
+    these are built, so only they check their values; a flag that none of
+    them reads (or ``--yin-threshold`` outside yin) draws a warning instead.
+    """
+    classes = [TrackerConfig if args.method == "specmax" else BaselineConfig]
+    if args.method == "specmax" or args.plot is not None:
+        classes.insert(0, SpectrogramConfig)
+    read = {f.name for cls in classes for f in fields(cls)}
+    if args.method != "yin":
+        read.discard("yin_threshold")
+    given = {}
+    for flag, field in _FIELDS.items():
+        value = getattr(args, flag)
+        if value is not None and field in read:
+            given[field] = value
+        elif value is not None:
+            print(f"f0: warning: --{flag.replace('_', '-')} has no effect with "
+                  f"method {args.method}", file=sys.stderr)
+    return {cls: cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
+            for cls in classes}
 
 
-def _given(args, **fields: str) -> dict:
-    """Config keyword arguments for the flags that were set (flag=field)."""
-    return {field: getattr(args, flag) for flag, field in fields.items()
-            if getattr(args, flag) is not None}
-
-
-def _resolve(args) -> _Resolved:
-    for flag, methods in _FLAG_SCOPE.items():
-        if getattr(args, flag) is not None and args.method not in methods:
-            print(
-                f"f0: warning: --{flag.replace('_', '-')} has no effect with "
-                f"method {args.method}",
-                file=sys.stderr,
-            )
-    spectro = SpectrogramConfig(**_given(
-        args, window="window_size", overlap="overlap", window_fn="window_function"))
-    tracker_cfg = TrackerConfig(**_given(
-        args, fmin="f_min", fmax="f_max", silence_db="silence_threshold_db",
-        peak_db="peak_threshold_db", refine="refine_peak"))
-    baseline_cfg = BaselineConfig(**_given(
-        args, frame_size="frame_size", hop="hop", fmin="f_min", fmax="f_max",
-        yin_threshold="yin_threshold"))
-    return _Resolved(args.method, spectro, tracker_cfg, baseline_cfg)
-
-
-def _dump_config(resolved: _Resolved) -> None:
-    print(f"method={resolved.method}")
-    for prefix, cfg in (("spectrogram", resolved.spectro),
-                        ("tracker", resolved.tracker),
-                        ("baseline", resolved.baseline)):
+def _dump_config(method: str, configs: dict[type, object]) -> None:
+    print(f"method={method}")
+    for cls, cfg in configs.items():
+        prefix = cls.__name__.removesuffix("Config").lower()
         for name, value in sorted(vars(cfg).items()):
             print(f"{prefix}.{name}={value}")
 
@@ -161,17 +148,17 @@ def _atomic_write(path: Path, write_to_tmp) -> None:
         raise
 
 
-def _process_one(input_name: str, resolved: _Resolved, table_path: Path,
-                 plot_path: Path | None, verbose: bool) -> str:
+def _process_one(input_name: str, method: str, configs: dict[type, object],
+                 table_path: Path, plot_path: Path | None, verbose: bool) -> str:
     started = time.perf_counter()
     clip = load_wav(input_name)
-    if resolved.method == "specmax" or plot_path is not None:
-        spec = spectrogram(clip, resolved.spectro)
-        env = envelope(clip, resolved.spectro)
-    if resolved.method == "specmax":
-        result = track(spec, env, resolved.tracker)
+    if SpectrogramConfig in configs:
+        spec = spectrogram(clip, configs[SpectrogramConfig])
+        env = envelope(clip, configs[SpectrogramConfig])
+    if method == "specmax":
+        result = track(spec, env, configs[TrackerConfig])
     else:
-        result = BASELINES[resolved.method](clip, resolved.baseline)
+        result = BASELINES[method](clip, configs[BaselineConfig])
 
     def write_table(tmp_name: str) -> None:
         with open(tmp_name, "w", encoding="utf-8", newline="\n") as fh:
@@ -237,20 +224,20 @@ def _plan(args) -> list[tuple[str, Path, Path | None]]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        resolved = _resolve(args)
+        configs = _resolve(args)
         workers = _worker_count(len(args.inputs))
         jobs = _plan(args)
     except (ConfigError, OSError) as exc:
         print(f"f0: error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
     if args.dump_config:
-        _dump_config(resolved)
+        _dump_config(args.method, configs)
 
     status = 0
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_process_one, name, resolved, table_path, plot_path,
-                        args.verbose)
+            pool.submit(_process_one, name, args.method, configs, table_path,
+                        plot_path, args.verbose)
             for name, table_path, plot_path in jobs
         ]
         for (name, _, _), future in zip(jobs, futures):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import AudioClip
+from .audio_io import AudioClip, _freeze
 from .errors import ClipTooShortError, ConfigError
 
 _WINDOWS = {"hann": np.hanning, "hamming": np.hamming, "rectangular": np.ones}
@@ -75,8 +75,7 @@ class Spectrogram:
     sample_rate: int
 
     def __post_init__(self):
-        for name in ("magnitudes", "freq_bins", "frame_times"):
-            getattr(self, name).setflags(write=False)
+        _freeze(self, "magnitudes", "freq_bins", "frame_times")
 
     @property
     def n_frames(self) -> int:
@@ -96,8 +95,7 @@ class Envelope:
     frame_times: np.ndarray
 
     def __post_init__(self):
-        self.values.setflags(write=False)
-        self.frame_times.setflags(write=False)
+        _freeze(self, "values", "frame_times")
 
     @property
     def n_frames(self) -> int:

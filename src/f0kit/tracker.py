@@ -23,6 +23,7 @@ from typing import Any
 
 import numpy as np
 
+from .audio_io import _freeze
 from .dsp import Envelope, Spectrogram
 from .errors import ConfigError, EmptyBandError, FrameGridMismatchError
 
@@ -73,8 +74,7 @@ class PitchTrack:
     def __post_init__(self):
         if not len(self.times) == len(self.f0) == len(self.peak_magnitude):
             raise ValueError("track arrays must share one length")
-        for name in ("times", "f0", "peak_magnitude"):
-            getattr(self, name).setflags(write=False)
+        _freeze(self, "times", "f0", "peak_magnitude")
 
     @property
     def voiced(self) -> np.ndarray:
@@ -169,5 +169,5 @@ def track(spec: Spectrogram, env: Envelope, config: TrackerConfig | None = None)
         np.clip(f0, config.f_min, config.f_max, out=f0)
 
     f0[~voiced] = np.nan
-    return PitchTrack(times=spec.frame_times.copy(), f0=f0, peak_magnitude=peak_mags,
+    return PitchTrack(times=spec.frame_times, f0=f0, peak_magnitude=peak_mags,
                       config=config)

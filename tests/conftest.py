@@ -27,6 +27,15 @@ def rng():
     return np.random.default_rng(20260818)
 
 
+def assert_frozen_view(given: np.ndarray, stored: np.ndarray) -> None:
+    """A container froze a view of ``given``: no copy, and the caller's array
+    is still the caller's to write."""
+    assert np.shares_memory(given, stored)
+    assert not stored.flags.writeable
+    assert given.flags.writeable
+    given[0] = 0.5
+
+
 def random_clip(rng, n_samples: int, sample_rate: int = 44100,
                 amplitude: float = 0.9) -> AudioClip:
     samples = rng.uniform(-amplitude, amplitude, n_samples)

@@ -16,6 +16,7 @@ from f0kit import (
     load_wav,
     write_wav,
 )
+from conftest import assert_frozen_view
 
 
 def build_wav(frames: np.ndarray, sample_rate=44100, format_tag=1,
@@ -165,6 +166,13 @@ def test_clip_samples_are_read_only(tone_1khz):
     clip, _ = tone_1khz
     with pytest.raises(ValueError):
         clip.samples[0] = 0.5
+
+
+def test_clip_freezes_a_view_not_the_callers_array():
+    samples = np.zeros(10)
+    clip = AudioClip(samples=samples, sample_rate=8000)
+    assert_frozen_view(samples, clip.samples)
+    assert clip.samples[0] == 0.5
 
 
 def test_write_read_round_trip_fixed(tmp_path, tone_1khz):

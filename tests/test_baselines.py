@@ -46,6 +46,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             BaselineConfig(frame_size=256, f_min=100.0).lag_range(SR)
 
+    def test_frame_size_boundary_message(self):
+        # f_min 100 Hz at 44.1 kHz: tau_max 441, so a frame needs 882 samples
+        assert BaselineConfig(frame_size=882, f_min=100.0).lag_range(SR) == (6, 441)
+        with pytest.raises(ConfigError, match=r"\(needs at least 882\)"):
+            BaselineConfig(frame_size=881, f_min=100.0).lag_range(SR)
+
     @pytest.mark.parametrize("kwargs", [
         {"frame_size": 1},
         {"hop": 0},

@@ -1,12 +1,22 @@
 import os
 import re
+from dataclasses import fields
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from f0kit import SynthSpec, cli, errors, synthesize, write_wav
+from f0kit import (
+    BaselineConfig,
+    SpectrogramConfig,
+    SynthSpec,
+    TrackerConfig,
+    cli,
+    errors,
+    synthesize,
+    write_wav,
+)
 from f0kit.cli import build_parser, exit_code_for, main
 from f0kit.errors import (
     ClipTooShortError,
@@ -101,7 +111,7 @@ class TestHappyPath:
         out = capsys.readouterr().out
         assert "method=yin" in out
         assert "baseline.yin_threshold=0.2" in out
-        assert "tracker.f_min=800.0" in out
+        assert "tracker." not in out  # a yin run builds no TrackerConfig
 
     def test_verbose_reports_table_and_plot_on_stderr(self, tone_wav, capsys, tmp_path):
         out, plot = tmp_path / "t.txt", tmp_path / "p.svg"
@@ -198,6 +208,115 @@ class TestFlagScope:
         main(["track", str(tone_wav), "--yin-threshold", "0.3",
               "--out", str(tmp_path / "t.txt")])
         assert "--yin-threshold" in capsys.readouterr().err
+
+
+# every config flag with a value valid for all methods and unlike its default
+_FLAG_VALUES = {
+    "--fmin": ["700"], "--fmax": ["7000"], "--window": ["512"],
+    "--overlap": ["128"], "--window-fn": ["hamming"], "--silence-db": ["-30"],
+    "--peak-db": ["-40"], "--refine": [], "--frame-size": ["1024"],
+    "--hop": ["256"], "--yin-threshold": ["0.2"],
+}
+
+
+def _reads(method: str, plot: bool, flag: str) -> bool:
+    """The rule: specmax reads the tracker flags, a baseline the baseline
+    flags (--yin-threshold for yin only), and specmax or --plot the
+    spectrogram flags."""
+    band = flag in ("--fmin", "--fmax")
+    if flag in ("--window", "--overlap", "--window-fn"):
+        return method == "specmax" or plot
+    if method == "specmax":
+        return band or flag in ("--silence-db", "--peak-db", "--refine")
+    return band or flag in ("--frame-size", "--hop") or (
+        flag == "--yin-threshold" and method == "yin")
+
+
+@pytest.fixture
+def short_tone_wav(tmp_path):
+    clip, _ = synthesize(SynthSpec.tone(1000.0, duration=0.3), 44100)
+    path = tmp_path / "short.wav"
+    write_wav(path, clip)
+    return path
+
+
+class TestReadConfigs:
+    def _run(self, wav, capsys, *extra):
+        code = main(["track", str(wav), "--out", str(wav.with_suffix(".txt")), *extra])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("plot", [False, True], ids=["table", "plot"])
+    @pytest.mark.parametrize("flag", sorted(_FLAG_VALUES))
+    @pytest.mark.parametrize("method", cli.METHODS)
+    def test_warning_exactly_when_the_value_is_not_read(self, short_tone_wav, capsys,
+                                                        method, flag, plot):
+        common = ["--method", method, "--dump-config"]
+        if plot:
+            common += ["--plot", str(short_tone_wav.with_suffix(".svg"))]
+        code, plain, plain_err = self._run(short_tone_wav, capsys, *common)
+        assert (code, plain_err) == (0, "")
+        code, out, err = self._run(short_tone_wav, capsys, *common, flag,
+                                   *_FLAG_VALUES[flag])
+        assert code == 0
+        dumped, plain_dumped = out.splitlines()[:-1], plain.splitlines()[:-1]
+        if _reads(method, plot, flag):
+            assert err == ""
+            assert dumped != plain_dumped  # the value reached a config
+        else:
+            assert err == f"f0: warning: {flag} has no effect with method {method}\n"
+            assert dumped == plain_dumped
+
+    def test_specmax_accepts_fmin_zero(self, short_tone_wav, capsys):
+        code, out, err = self._run(short_tone_wav, capsys, "--fmin", "0")
+        assert (code, err) == (0, "")
+        assert "voiced=100.0%" in out
+
+    def test_unread_window_is_not_checked(self, short_tone_wav, capsys):
+        code, out, err = self._run(short_tone_wav, capsys, "--method", "acf",
+                                   "--window", "1000")
+        assert code == 0
+        assert err == "f0: warning: --window has no effect with method acf\n"
+
+    def test_window_read_by_the_plot_is_checked(self, short_tone_wav, capsys):
+        plot = short_tone_wav.with_suffix(".svg")
+        code, out, err = self._run(short_tone_wav, capsys, "--method", "acf",
+                                   "--window", "1000", "--plot", str(plot))
+        assert code == 2
+        assert err.startswith("f0: error: window_size must be a power of two")
+        assert "warning" not in err and out == "" and not plot.exists()
+
+    def test_window_read_by_the_plot_changes_it(self, short_tone_wav, capsys):
+        plot = short_tone_wav.with_suffix(".svg")
+        assert self._run(short_tone_wav, capsys, "--method", "acf",
+                         "--plot", str(plot))[0] == 0
+        default_svg = plot.read_text()
+        code, _, err = self._run(short_tone_wav, capsys, "--method", "acf",
+                                 "--window", "2048", "--plot", str(plot))
+        assert (code, err) == (0, "")
+        assert plot.read_text().count("<rect ") < default_svg.count("<rect ")
+
+
+def test_help_defaults_match_the_config_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["track", "--help"])
+    options = capsys.readouterr().out.split("options:\n")[1]
+    documented = {}
+    for entry in re.split(r"\n  (?=-)", options):  # one entry per option
+        default = re.search(r"\(default\s+([^)]+)\)", entry)
+        if default:
+            documented[re.search(r"--[\w-]+", entry).group()] = default.group(1)
+    assert documented.pop("--overlap") == "window/2"
+    assert SpectrogramConfig().overlap == SpectrogramConfig().window_size // 2
+    assert sorted(documented) == sorted(
+        ["--fmin", "--fmax", "--window", "--window-fn", "--silence-db", "--peak-db",
+         "--frame-size", "--hop", "--yin-threshold"])
+    for flag, text in documented.items():
+        field = cli._FIELDS[flag[2:].replace("-", "_")]
+        defaults = [f.default for cls in (SpectrogramConfig, TrackerConfig, BaselineConfig)
+                    for f in fields(cls) if f.name == field]
+        assert defaults, flag
+        assert all(type(d)(text) == d for d in defaults), (flag, text, defaults)
 
 
 def test_parser_rejects_unknown_method():

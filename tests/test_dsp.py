@@ -7,12 +7,13 @@ from f0kit import (
     AudioClip,
     ClipTooShortError,
     ConfigError,
+    Envelope,
     Spectrogram,
     SpectrogramConfig,
     envelope,
     spectrogram,
 )
-from conftest import BLOCK_EDGE_FRAMES, random_clip
+from conftest import BLOCK_EDGE_FRAMES, assert_frozen_view, random_clip
 from f0kit.dsp import frame_signal
 from oracles import naive_dft_magnitudes, naive_rms, whole_clip_magnitudes, whole_clip_rms
 
@@ -129,6 +130,22 @@ class TestSpectrogram:
     def test_magnitudes_nonnegative(self, rng):
         spec = spectrogram(random_clip(rng, 4096), SpectrogramConfig())
         assert np.all(spec.magnitudes >= 0)
+
+
+def test_spectrogram_freezes_views_not_the_callers_arrays():
+    mags, freqs, times = np.ones((3, 2)), np.arange(3.0), np.arange(2.0)
+    spec = Spectrogram(magnitudes=mags, freq_bins=freqs, frame_times=times,
+                       sample_rate=8000)
+    for given, stored in ((mags, spec.magnitudes), (freqs, spec.freq_bins),
+                          (times, spec.frame_times)):
+        assert_frozen_view(given, stored)
+
+
+def test_envelope_freezes_views_not_the_callers_arrays():
+    values, times = np.ones(2), np.arange(2.0)
+    env = Envelope(values=values, frame_times=times)
+    assert_frozen_view(values, env.values)
+    assert_frozen_view(times, env.frame_times)
 
 
 class TestEnvelope:

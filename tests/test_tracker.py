@@ -20,7 +20,7 @@ from f0kit import (
     track,
 )
 from f0kit.tracker import db_to_ratio, refine_peak
-from conftest import random_clip
+from conftest import assert_frozen_view, random_clip
 
 BIN_WIDTH = 44100 / 1024
 
@@ -194,6 +194,20 @@ class TestPitchTrack:
         with pytest.raises(ValueError):
             PitchTrack(times=np.array([0.0, 1.0]), f0=np.array([np.nan]),
                        peak_magnitude=np.array([1.0]), config=None)
+
+    def test_freezes_views_not_the_callers_arrays(self):
+        times, f0, peaks = np.arange(2.0), np.array([np.nan, 1.0]), np.ones(2)
+        result = PitchTrack(times=times, f0=f0, peak_magnitude=peaks, config=None)
+        assert_frozen_view(times, result.times)
+        assert_frozen_view(f0, result.f0)
+        assert_frozen_view(peaks, result.peak_magnitude)
+
+    def test_track_shares_the_spectrogram_times(self, tone_1khz):
+        clip, _ = tone_1khz
+        spec = spectrogram(clip, SpectrogramConfig())
+        result = track(spec, envelope(clip, SpectrogramConfig()))
+        assert np.shares_memory(result.times, spec.frame_times)
+        assert not result.times.flags.writeable
 
     def test_voiced_helpers(self, tone_1khz):
         clip, _ = tone_1khz

@@ -46,15 +46,20 @@ class AudioClip:
 
     ``samples`` is 1-D with shape ``(n_frames,)``; :func:`load_wav` averages
     a multichannel file down to it. Instances are immutable and safe to share
-    across threads, as long as the caller does not change a float64 array it
-    passed in: ``samples`` is a read-only view of it, not a copy.
+    across threads. A writable array passed in is copied, so a later write by
+    the caller cannot bypass the checks. A read-only float64 array is kept as
+    it is, so it must not change through another view either (``load_wav``
+    and ``synthesize`` hand over arrays nothing else holds).
     """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        given = self.samples
+        read_only = isinstance(given, np.ndarray) and not given.flags.writeable
+        object.__setattr__(self, "samples",
+                           (np.asarray if read_only else np.array)(given, dtype=np.float64))
         _freeze(self, "samples")
         samples = self.samples
         if self.sample_rate <= 0:
@@ -151,6 +156,7 @@ def load_wav(path: str | Path) -> AudioClip:
     if channels > 1:
         with np.errstate(invalid="ignore"):  # inf and -inf in one frame average to NaN
             samples = samples[: n_frames * channels].reshape(n_frames, channels).mean(axis=1)
+    samples.setflags(write=False)  # nothing else holds it, so AudioClip need not copy it
     return AudioClip(samples=samples, sample_rate=rate)
 
 

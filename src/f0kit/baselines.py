@@ -4,10 +4,12 @@ All three estimators share a common framing scheme and search the same lag
 window derived from the configured frequency band, so their outputs line up
 frame for frame and can be compared directly against the spectral tracker.
 Lag products come from FFTs (Wiener-Khinchin; YIN's difference function from
-a cross-correlation plus energy sums), peaks are picked on whole arrays, and
-each integer-lag peak is refined with a parabolic fit through its
-neighbours, which removes most of the lag-quantization error at high
-fundamentals (at 4 kHz and 44.1 kHz a whole lag step is worth hundreds of Hz).
+a cross-correlation plus energy sums). Each detector's whole per-frame
+decision runs on one chunk of frames at a time, so only the per-frame lag,
+strength and voicing outlive a chunk. Each integer-lag peak is refined with
+a parabolic fit through its neighbours, which removes most of the
+lag-quantization error at high fundamentals (at 4 kHz and 44.1 kHz a whole
+lag step is worth hundreds of Hz).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio_io import AudioClip
-from .dsp import _blockwise, _framed
+from .dsp import _BLOCK, _blockwise, _framed
 from .errors import ConfigError
 from .tracker import PitchTrack, _refine_at, pick_max
 
@@ -69,6 +71,12 @@ class BaselineConfig:
             )
         return tau_min, tau_max
 
+
+# (frame x lag) cells per decision, 512 kB of float64: a decision's arrays stay a
+# few MB whatever the clip length or lag window. Each decision costs about 0.3 ms
+# of NumPy call overhead, so a short lag window takes many frames per decision:
+# 128 frames at 442 lags, 1152 at 56 (at 128 there, calls ran about 6 % slower).
+_CHUNK_CELLS = 1 << 16
 
 # d(tau) under this share of the frame energy is FFT rounding noise (at most
 # 3e-14 measured); it is zeroed, else it alone can voice a constant frame.
@@ -146,8 +154,25 @@ def pick_yin(dn: np.ndarray, tau_min: int, threshold: float):
     return tau_min + i, 1.0 - value, voiced
 
 
-def _finish(times, lags, strength, voiced, fs: int, config) -> PitchTrack:
-    f0 = np.where(voiced, fs / np.clip(lags, fs / config.f_max, fs / config.f_min), np.nan)
+def _chunk_frames(n_lags: int) -> int:
+    """Frames per decision: whole FFT blocks, up to ``_CHUNK_CELLS`` lag cells."""
+    return max(1, _CHUNK_CELLS // n_lags // _BLOCK) * _BLOCK
+
+
+def _per_chunk(clip: AudioClip, config: BaselineConfig, decide) -> PitchTrack:
+    """The track from ``decide(chunk, tau_min, tau_max)``, run on one chunk of frames
+    at a time (see ``_chunk_frames``).
+
+    ``decide`` returns each frame's (lag, strength, voiced); only those columns
+    outlive a chunk, so memory does not grow with the clip's frames x lags.
+    """
+    fs = clip.sample_rate
+    frames, times = _framed(clip, config.frame_size, config.hop)
+    tau_min, tau_max = config.lag_range(fs)
+    lag, strength, voiced = _blockwise(
+        lambda chunk: np.column_stack(decide(chunk, tau_min, tau_max)),
+        frames, 3, _chunk_frames(tau_max + 1)).T
+    f0 = np.where(voiced > 0.0, fs / np.clip(lag, fs / config.f_max, fs / config.f_min), np.nan)
     return PitchTrack(times=times, f0=f0, peak_magnitude=strength, config=config)
 
 
@@ -157,16 +182,15 @@ def autocorr_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> Pit
     A frame is voiced when the autocorrelation peak inside the lag window
     reaches 0.5 after normalizing by the zero-lag energy.
     """
-    config = config or BaselineConfig()
-    frames, times = _framed(clip, config.frame_size, config.hop)
-    tau_min, tau_max = config.lag_range(clip.sample_rate)
 
-    r = autocorrelation(frames, tau_max)[:, tau_min:]
-    r0 = np.einsum("ij,ij->i", frames, frames)[:, None]
-    norm = np.divide(r, r0, out=np.zeros_like(r), where=r0 > 0.0)
-    i, strength = pick_max(norm)
-    return _finish(times, tau_min + i + _refine_at(norm, i), strength, strength >= 0.5,
-                   clip.sample_rate, config)
+    def decide(chunk, tau_min, tau_max):
+        r = autocorrelation(chunk, tau_max)[:, tau_min:]
+        r0 = np.einsum("ij,ij->i", chunk, chunk)[:, None]
+        norm = np.divide(r, r0, out=np.zeros_like(r), where=r0 > 0.0)
+        i, strength = pick_max(norm)
+        return tau_min + i + _refine_at(norm, i), strength, strength >= 0.5
+
+    return _per_chunk(clip, config or BaselineConfig(), decide)
 
 
 def yin_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> PitchTrack:
@@ -179,13 +203,13 @@ def yin_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> PitchTra
     left unvoiced.
     """
     config = config or BaselineConfig()
-    frames, times = _framed(clip, config.frame_size, config.hop)
-    tau_min, tau_max = config.lag_range(clip.sample_rate)
 
-    _, dn = difference(frames, tau_max)
-    tau, strength, voiced = pick_yin(dn, tau_min, config.yin_threshold)
-    return _finish(times, tau + _refine_at(dn, tau), strength, voiced,
-                   clip.sample_rate, config)
+    def decide(chunk, tau_min, tau_max):
+        _, dn = difference(chunk, tau_max)
+        tau, strength, voiced = pick_yin(dn, tau_min, config.yin_threshold)
+        return tau + _refine_at(dn, tau), strength, voiced
+
+    return _per_chunk(clip, config, decide)
 
 
 def cepstrum_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> PitchTrack:
@@ -199,19 +223,19 @@ def cepstrum_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> Pit
     quefrency step low on dense stacks.
     """
     config = config or BaselineConfig()
-    frames, times = _framed(clip, config.frame_size, config.hop)
-    tau_min, tau_max = config.lag_range(clip.sample_rate)
     window = np.hamming(config.frame_size)
 
-    def quefrencies(block):
-        spectra = np.abs(np.fft.rfft(block * window, axis=1))
-        return np.fft.irfft(np.log(spectra + 1e-12), axis=1)[:, tau_min : tau_max + 1]
+    def decide(chunk, tau_min, tau_max):
+        def quefrencies(block):
+            spectra = np.abs(np.fft.rfft(block * window, axis=1))
+            return np.fft.irfft(np.log(spectra + 1e-12), axis=1)[:, tau_min : tau_max + 1]
 
-    region = _blockwise(quefrencies, frames, tau_max - tau_min + 1)
-    i, strength = pick_max(region)
-    voiced = strength > 4.0 * np.median(np.abs(region), axis=1)
-    return _finish(times, tau_min + i + _refine_at(region, i), strength, voiced,
-                   clip.sample_rate, config)
+        region = _blockwise(quefrencies, chunk, tau_max - tau_min + 1)
+        i, strength = pick_max(region)
+        voiced = strength > 4.0 * np.median(np.abs(region), axis=1)
+        return tau_min + i + _refine_at(region, i), strength, voiced
+
+    return _per_chunk(clip, config, decide)
 
 
 BASELINES = {

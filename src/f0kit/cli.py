@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -134,9 +133,10 @@ def _destination(base: str | None, input_path: Path, suffix: str,
 
 
 def _atomic_write(path: Path, write_to_tmp) -> None:
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent) or ".",
-                                    prefix=path.name + ".", suffix=".tmp")
-    os.close(fd)
+    # mode 0o666, so the umask sets the output's permissions as for any new file
+    # (mkstemp's 0o600 would reach the output through os.replace)
+    tmp_name = str(path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp"))
+    os.close(os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         write_to_tmp(tmp_name)
         os.replace(tmp_name, path)

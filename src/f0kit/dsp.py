@@ -25,8 +25,11 @@ from .errors import ClipTooShortError, ConfigError
 
 _WINDOWS = {"hann": np.hanning, "hamming": np.hamming, "rectangular": np.ones}
 WINDOW_FUNCTIONS = tuple(_WINDOWS)
-# frames per batch, so temporaries do not grow with clip length; at 64 frames the
-# heap returned each block's temporaries to the OS and faulted them back in
+# frames per FFT batch, so temporaries do not grow with clip length. Whether they
+# are page-faulted in afresh each block depends on the allocator's history, at 32
+# frames as at 64 and on any thread: glibc mmaps (and trims) buffers above a
+# threshold that rises only once the process frees a larger one. So time block and
+# allocation changes in a pool worker after a warm-up file, as a batch runs.
 _BLOCK = 32
 
 
@@ -123,11 +126,11 @@ def _framed(clip: AudioClip, size: int, hop: int) -> tuple[np.ndarray, np.ndarra
     return frames, (np.arange(len(frames)) * hop + size / 2) / clip.sample_rate
 
 
-def _blockwise(fn, frames: np.ndarray, width: int) -> np.ndarray:
-    """Row-wise ``fn`` over ``_BLOCK`` frames at a time, into one ``(n_frames, width)`` array."""
+def _blockwise(fn, frames: np.ndarray, width: int, block: int = _BLOCK) -> np.ndarray:
+    """Row-wise ``fn`` over ``block`` frames at a time, into one ``(n_frames, width)`` array."""
     out = np.empty((len(frames), width))
-    for start in range(0, len(frames), _BLOCK):
-        out[start : start + _BLOCK] = fn(frames[start : start + _BLOCK])
+    for start in range(0, len(frames), block):
+        out[start : start + block] = fn(frames[start : start + block])
     return out
 
 

@@ -47,14 +47,24 @@ def export_table(track: PitchTrack, stream: IO[str]) -> int:
     return track.n_frames
 
 
+def _pool_rows(a: np.ndarray, limit: int) -> np.ndarray:
+    """Max over windows of ``ceil(rows / limit)`` rows; the last may be short."""
+    rows = a.shape[0]
+    width = max(1, math.ceil(rows / limit))
+    whole = rows - rows % width
+    pooled = reduce(np.maximum, (a[j:whole:width] for j in range(width)))
+    if whole < rows:  # the ragged last window, on its own
+        pooled = np.vstack((pooled, a[whole:].max(axis=0)))
+    return pooled
+
+
 def _pool_max(a: np.ndarray, row_limit: int, col_limit: int) -> np.ndarray:
-    """Max-pool a 2D array down to at most row_limit x col_limit cells."""
-    rows, cols = a.shape
-    fr = max(1, math.ceil(rows / row_limit))
-    fc = max(1, math.ceil(cols / col_limit))
-    padded = np.pad(a, ((0, -rows % fr), (0, -cols % fc)), constant_values=_DB_FLOOR)
-    pooled = reduce(np.maximum, (padded[i::fr] for i in range(fr)))
-    return reduce(np.maximum, (pooled[:, j::fc] for j in range(fc)))
+    """Max-pool a 2D array down to at most row_limit x col_limit cells.
+
+    Columns (time) are pooled first, so no intermediate has more than
+    ``col_limit`` columns whatever the clip length, and nothing is padded.
+    """
+    return _pool_rows(_pool_rows(a.T, col_limit).T, row_limit)
 
 
 def _heatmap_runs(levels: np.ndarray):
@@ -66,6 +76,32 @@ def _heatmap_runs(levels: np.ndarray):
     first = np.flatnonzero(starts)
     last = np.append(first[1:], flat.size) - 1
     return first // n_rows, first % n_rows, last % n_rows, flat[first]
+
+
+def _heatmap_rects(magnitudes: np.ndarray, left: float, plot_width: float,
+                   bottom: float, height: float) -> list[str]:
+    """The spectrogram panel's ``<rect>`` lines, one per vertical run of one dB level.
+
+    Its arrays are freed on return, before the SVG text is joined.
+    """
+    # pool first, as log10 is monotonic
+    pooled = _pool_max(magnitudes, _MAX_ROWS, _MAX_COLS)
+    # fmax takes -inf (a zero bin) and NaN (0/0: a silent clip) to the floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = np.fmax(20.0 * np.log10(pooled / pooled.max()), _DB_FLOOR)
+    levels = np.rint(db - _DB_FLOOR).astype(int)  # 0 .. 80
+    palette = np.array(_palette(), dtype=object)
+    n_rows, n_cols = levels.shape
+    cell_w = plot_width / n_cols
+    cell_h = height / n_rows
+    # row 0 is the lowest frequency, so it sits at the panel bottom; a run's
+    # top edge depends only on its last row, its height only on its length
+    cols, first, last, run_levels = _heatmap_runs(levels)
+    stacked = np.arange(1, n_rows + 1) * cell_h
+    rect = f'<rect x="{{}}" y="{{}}" width="{cell_w + 0.05:.2f}" height="{{}}" fill="{{}}"/>'
+    return list(map(rect.format, _fixed2(left + np.arange(n_cols) * cell_w)[cols],
+                    _fixed2(bottom - stacked)[last], _fixed2(stacked + 0.05)[last - first],
+                    palette[run_levels]))
 
 
 def _fixed2(values: np.ndarray) -> np.ndarray:
@@ -175,25 +211,9 @@ def render_plot(spectrogram: Spectrogram, track: PitchTrack,
         text(left - 52, panel_top + 8, unit, anchor="start", size=11)
 
     # --- panel 1: spectrogram heatmap ------------------------------------
-    # pool first, as log10 is monotonic; no window is all padding, and -80 < any magnitude
-    pooled = _pool_max(spectrogram.magnitudes, _MAX_ROWS, _MAX_COLS)
-    # fmax takes -inf (a zero bin) and NaN (0/0: a silent clip) to the floor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        db = np.fmax(20.0 * np.log10(pooled / pooled.max()), _DB_FLOOR)
-    levels = np.rint(db - _DB_FLOOR).astype(int)  # 0 .. 80
-    palette = np.array(_palette(), dtype=object)
-    n_rows, n_cols = levels.shape
-    cell_w = (width - left - right) / n_cols
-    cell_h = h_spec / n_rows
+    parts.extend(_heatmap_rects(spectrogram.magnitudes, left, width - left - right,
+                                spec_bot, h_spec))
     sy_spec = _Scale(f_lo, f_hi, spec_bot, spec_top)
-    # row 0 is the lowest frequency, so it sits at the panel bottom; a run's
-    # top edge depends only on its last row, its height only on its length
-    cols, first, last, run_levels = _heatmap_runs(levels)
-    stacked = np.arange(1, n_rows + 1) * cell_h
-    rect = f'<rect x="{{}}" y="{{}}" width="{cell_w + 0.05:.2f}" height="{{}}" fill="{{}}"/>'
-    parts.extend(map(rect.format, _fixed2(left + np.arange(n_cols) * cell_w)[cols],
-                     _fixed2(spec_bot - stacked)[last], _fixed2(stacked + 0.05)[last - first],
-                     palette[run_levels]))
     config = track.config
     for name in ("f_min", "f_max"):
         edge = getattr(config, name, None)

@@ -213,5 +213,6 @@ def synthesize(spec: SynthSpec, sample_rate: int) -> tuple[AudioClip, GroundTrut
             f"mixed signal peaks at {peak:.4f} > 1.0 full scale"
         )
     x = x.astype(np.float32).astype(np.float64)
+    x.setflags(write=False)  # nothing else holds it, so AudioClip need not copy it
     clip = AudioClip(samples=x, sample_rate=sample_rate)
     return clip, GroundTruth(segments=tuple(segments))

@@ -12,11 +12,13 @@ from f0kit import (
     F0KitError,
     MalformedHeaderError,
     NonFiniteSamplesError,
+    SynthSpec,
     UnsupportedEncodingError,
     load_wav,
+    synthesize,
     write_wav,
 )
-from conftest import assert_frozen_view
+from f0kit import audio_io, synth
 
 
 def build_wav(frames: np.ndarray, sample_rate=44100, format_tag=1,
@@ -168,11 +170,38 @@ def test_clip_samples_are_read_only(tone_1khz):
         clip.samples[0] = 0.5
 
 
-def test_clip_freezes_a_view_not_the_callers_array():
-    samples = np.zeros(10)
-    clip = AudioClip(samples=samples, sample_rate=8000)
-    assert_frozen_view(samples, clip.samples)
-    assert clip.samples[0] == 0.5
+def test_clip_copies_a_writable_array():
+    # else a write by the caller after the checks would reach the clip
+    x = np.full(44100, 0.1)
+    clip = AudioClip(samples=x, sample_rate=44100)
+    x[100], x[200] = np.nan, 5.0
+    assert not np.shares_memory(x, clip.samples)
+    assert np.all(clip.samples == 0.1)
+    assert not clip.samples.flags.writeable
+
+
+def test_clip_keeps_a_read_only_array():
+    x = np.zeros(10)
+    x.setflags(write=False)
+    assert np.shares_memory(x, AudioClip(samples=x, sample_rate=8000).samples)
+
+
+def test_loaders_hand_over_arrays_the_clip_need_not_copy(tmp_path, monkeypatch):
+    given = []
+
+    def spy(samples, sample_rate):
+        given.append(samples)
+        return AudioClip(samples=samples, sample_rate=sample_rate)
+
+    monkeypatch.setattr(audio_io, "AudioClip", spy)
+    monkeypatch.setattr(synth, "AudioClip", spy)
+    clip, _ = synthesize(SynthSpec.tone(1000.0, duration=0.1), 44100)
+    write_wav(tmp_path / "tone.wav", clip)
+    loaded = load_wav(tmp_path / "tone.wav")
+    assert len(given) == 2
+    for samples, made in zip(given, (clip, loaded)):
+        assert not samples.flags.writeable
+        assert np.shares_memory(samples, made.samples)
 
 
 def test_write_read_round_trip_fixed(tmp_path, tone_1khz):

@@ -1,5 +1,6 @@
 import os
 import re
+import stat
 from dataclasses import fields
 import struct
 from pathlib import Path
@@ -126,6 +127,22 @@ class TestHappyPath:
         out = tmp_path / "missing" / "deeper" / "x.txt"
         assert main(["track", str(tone_wav), "--out", str(out)]) == 0
         assert len(read_rows(out)) == 85
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640), (0o002, 0o664)],
+                             ids=["022", "027", "002"])
+    def test_outputs_take_their_mode_from_the_umask(self, tone_wav, capsys, tmp_path,
+                                                    umask, mode):
+        out, plot = tmp_path / "t.txt", tmp_path / "t.svg"
+        out.write_text("old\n")
+        out.chmod(0o600)  # replaced, not kept
+        previous = os.umask(umask)
+        try:
+            assert main(["track", str(tone_wav), "--out", str(out), "--plot", str(plot)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert stat.S_IMODE(plot.stat().st_mode) == mode
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestDiagnostics:

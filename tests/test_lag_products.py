@@ -1,10 +1,11 @@
 """Frame-by-frame pins of the baselines' FFT lag products and array picks.
 
 The acf and yin detectors compute their lag products by FFT, and all three
-detectors pick peaks on whole (frame x lag) arrays. These tests hold both to
-the literal loops in ``oracles.py``: the lag products to ``acf_scan`` and
-``yin_scan`` within a stated rounding tolerance, and the picks, with their
-parabolic refinement, exactly on every frame.
+detectors pick peaks on (frame x lag) arrays, one chunk of frames at a time.
+These tests hold both to the literal loops in ``oracles.py``: the lag
+products to ``acf_scan`` and ``yin_scan`` within a stated rounding
+tolerance, and the picks, with their parabolic refinement, exactly on every
+frame, across chunk edges too.
 """
 
 import numpy as np
@@ -20,7 +21,14 @@ from f0kit import (
     yin_pitch,
 )
 from f0kit import baselines
-from f0kit.baselines import autocorrelation, difference, pick_max, pick_yin
+from f0kit.baselines import (
+    BASELINES,
+    _chunk_frames,
+    autocorrelation,
+    difference,
+    pick_max,
+    pick_yin,
+)
 from f0kit.dsp import frame_signal
 from conftest import BLOCK_EDGE_FRAMES
 from oracles import (
@@ -150,7 +158,9 @@ def test_blocked_cepstrum_matches_whole_clip(monkeypatch, n_frames):
     cepstrum_pitch(clip, cfg)
     frames = frame_signal(clip.samples, 512, 128)
     assert len(frames) == n_frames
-    assert np.array_equal(regions[0], whole_clip_cepstrum_region(frames, tau_min, tau_max))
+    # one region per chunk of frames, together the whole clip's
+    assert np.array_equal(np.concatenate(regions),
+                          whole_clip_cepstrum_region(frames, tau_min, tau_max))
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +223,40 @@ def test_cepstrum_picks_match_per_frame_rule(stacks, f_min):
     cepstra = np.fft.irfft(np.log(spectra + 1e-12), axis=1)
     picks = [cepstrum_pick(row[tau_min : tau_max + 1], tau_min) for row in cepstra]
     _assert_matches(cepstrum_pitch(stacks, cfg), picks, cfg)
+
+
+def _oracle_picks(method, clip, cfg):
+    """Each frame's (lag, offset, strength, voiced) from the per-frame rule in
+    ``oracles.py``, on lag products of the whole clip: as in the tests above,
+    but with the cepstra computed one frame at a time, for clips of thousands
+    of frames."""
+    tau_min, tau_max = cfg.lag_range(SR)
+    frames = frame_signal(clip.samples, cfg.frame_size, cfg.hop)
+    if method == "acf":
+        r = autocorrelation(frames, tau_max)
+        r0 = np.einsum("ij,ij->i", frames, frames)
+        return [acf_pick(r[j, tau_min:] / r0[j], r0[j], tau_min) for j in range(len(frames))]
+    if method == "yin":
+        _, dn = difference(frames, tau_max)
+        return [yin_pick(row, tau_min, tau_max, cfg.yin_threshold) for row in dn]
+    window = np.hamming(cfg.frame_size)
+    return [cepstrum_pick(np.fft.irfft(np.log(np.abs(np.fft.rfft(frame * window)) + 1e-12))
+                          [tau_min : tau_max + 1], tau_min) for frame in frames]
+
+
+@pytest.mark.parametrize("method", ["acf", "yin", "cepstrum"])
+@pytest.mark.parametrize("f_min", [800.0, 100.0])
+def test_picks_match_per_frame_rule_across_chunk_edges(stacks, method, f_min):
+    # a hop that gives just over two chunks of frames (1152 frames per chunk
+    # at the default band, 128 at f_min=100), so frames chunk +- 1 and
+    # 2 * chunk +- 1 are all checked
+    cfg = BaselineConfig(f_min=f_min)
+    chunk = _chunk_frames(cfg.lag_range(SR)[1] + 1)
+    hop = (len(stacks.samples) - cfg.frame_size) // (2 * chunk + 2)
+    cfg = BaselineConfig(f_min=f_min, hop=hop)
+    picks = _oracle_picks(method, stacks, cfg)
+    assert len(picks) > 2 * chunk + 1
+    _assert_matches(BASELINES[method](stacks, cfg), picks, cfg)
 
 
 def test_picks_match_per_frame_rules_on_rows_with_ties():

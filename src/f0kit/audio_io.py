@@ -1,9 +1,9 @@
 """WAV decoding into a canonical in-memory clip.
 
 Only RIFF/WAVE containers with 16-bit PCM or 32-bit IEEE-float payloads are
-accepted. Unknown chunks are skipped, so files with LIST/INFO/cue metadata
-load fine. No resampling is performed anywhere in the package; all analysis
-runs at the file's native rate.
+accepted, plain or as WAVE_FORMAT_EXTENSIBLE. Unknown chunks are skipped, so
+files with LIST/INFO/cue metadata load fine. No resampling is performed
+anywhere in the package; all analysis runs at the file's native rate.
 """
 
 from __future__ import annotations
@@ -21,10 +21,13 @@ from .errors import (
     UnsupportedEncodingError,
 )
 
-# WAVE format tags we decode. Anything else (ADPCM, a-law, 24-bit
-# WAVE_FORMAT_EXTENSIBLE, ...) is rejected as unsupported.
+# WAVE format tags we decode; anything else (ADPCM, a-law, ...) is unsupported.
+# An extensible file's real tag is the first two bytes of its subformat GUID,
+# whose other 14 bytes are the same for every KSDATAFORMAT subtype.
 _FORMAT_PCM = 1
 _FORMAT_IEEE_FLOAT = 3
+_FORMAT_EXTENSIBLE = 0xFFFE
+_SUBFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 # 16-bit codes are scaled by 1/32768 so -32768 maps exactly to -1.0;
 # +32767 lands just shy of +1.0. Standard asymmetry, accepted.
@@ -92,16 +95,16 @@ def load_wav(path: str | Path) -> AudioClip:
     """Decode a WAV file into a mono :class:`AudioClip`.
 
     Accepts canonical 44-byte headers as well as files carrying extra chunks
-    before or after ``data``. 16-bit PCM is scaled by 1/32768; 32-bit float
-    is passed through (finite values clamped to [-1, 1] for out-of-range
-    foreign files). A multichannel file loads as the per-frame mean of its
-    channels.
+    before or after ``data``, and WAVE_FORMAT_EXTENSIBLE with a PCM or float
+    subformat. 16-bit PCM is scaled by 1/32768; 32-bit float is passed
+    through (finite values clamped to [-1, 1] for out-of-range foreign
+    files). A multichannel file loads as the per-frame mean of its channels.
 
     Raises:
         MalformedHeaderError: not a RIFF/WAVE file, or a chunk's declared
             size runs past the end of the file.
-        UnsupportedEncodingError: format tag other than PCM/IEEE-float, or
-            an unsupported bit depth for those tags.
+        UnsupportedEncodingError: format tag (or extensible subformat) other
+            than PCM/IEEE-float, or an unsupported bit depth for those tags.
         EmptyAudioError: the data chunk holds zero frames.
         NonFiniteSamplesError: float data holds NaN or infinite samples.
     """
@@ -122,6 +125,9 @@ def load_wav(path: str | Path) -> AudioClip:
             if chunk_size < 16:
                 raise MalformedHeaderError(f"{path}: fmt chunk too small ({chunk_size} bytes)")
             tag, channels, rate, _byte_rate, _align, bits = struct.unpack_from("<HHIIHH", body, 0)
+            if tag == _FORMAT_EXTENSIBLE and chunk_size >= 40 and body[26:40] == _SUBFORMAT_TAIL:
+                cb_size, sub_tag = struct.unpack_from("<H6xH", body, 16)
+                tag = sub_tag if cb_size >= 22 else tag  # a short extension stays unsupported
             fmt = (tag, channels, rate, bits)
         elif chunk_id == b"data":
             data = body

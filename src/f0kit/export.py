@@ -11,7 +11,6 @@ variation between runs.
 from __future__ import annotations
 
 import math
-from functools import reduce
 from typing import IO
 
 import numpy as np
@@ -49,12 +48,11 @@ def export_table(track: PitchTrack, stream: IO[str]) -> int:
 
 def _pool_rows(a: np.ndarray, limit: int) -> np.ndarray:
     """Max over windows of ``ceil(rows / limit)`` rows; the last may be short."""
-    rows = a.shape[0]
-    width = max(1, math.ceil(rows / limit))
-    whole = rows - rows % width
-    pooled = reduce(np.maximum, (a[j:whole:width] for j in range(width)))
-    if whole < rows:  # the ragged last window, on its own
-        pooled = np.vstack((pooled, a[whole:].max(axis=0)))
+    width = max(1, math.ceil(a.shape[0] / limit))
+    pooled = a[::width].copy()  # each window's first row
+    for j in range(1, width):
+        rows = a[j::width]  # one short when the last window has no row j
+        np.maximum(pooled[:len(rows)], rows, out=pooled[:len(rows)])
     return pooled
 
 
@@ -79,18 +77,14 @@ def _heatmap_runs(levels: np.ndarray):
 
 
 def _heatmap_rects(magnitudes: np.ndarray, left: float, plot_width: float,
-                   bottom: float, height: float) -> list[str]:
-    """The spectrogram panel's ``<rect>`` lines, one per vertical run of one dB level.
-
-    Its arrays are freed on return, before the SVG text is joined.
-    """
+                   bottom: float, height: float) -> str:
+    """The spectrogram panel's ``<rect>`` lines, one per run of one dB level, in one string."""
     # pool first, as log10 is monotonic
     pooled = _pool_max(magnitudes, _MAX_ROWS, _MAX_COLS)
     # fmax takes -inf (a zero bin) and NaN (0/0: a silent clip) to the floor
     with np.errstate(divide="ignore", invalid="ignore"):
         db = np.fmax(20.0 * np.log10(pooled / pooled.max()), _DB_FLOOR)
     levels = np.rint(db - _DB_FLOOR).astype(int)  # 0 .. 80
-    palette = np.array(_palette(), dtype=object)
     n_rows, n_cols = levels.shape
     cell_w = plot_width / n_cols
     cell_h = height / n_rows
@@ -98,10 +92,14 @@ def _heatmap_rects(magnitudes: np.ndarray, left: float, plot_width: float,
     # top edge depends only on its last row, its height only on its length
     cols, first, last, run_levels = _heatmap_runs(levels)
     stacked = np.arange(1, n_rows + 1) * cell_h
-    rect = f'<rect x="{{}}" y="{{}}" width="{cell_w + 0.05:.2f}" height="{{}}" fill="{{}}"/>'
-    return list(map(rect.format, _fixed2(left + np.arange(n_cols) * cell_w)[cols],
-                    _fixed2(bottom - stacked)[last], _fixed2(stacked + 0.05)[last - first],
-                    palette[run_levels]))
+    pieces = np.empty((cols.size, 9), dtype=object)  # per rect: fixed text around 4 values
+    pieces[:, ::2] = ('<rect x="', '" y="', f'" width="{cell_w + 0.05:.2f}" height="',
+                      '" fill="', '"/>\n')
+    pieces[:, 1] = _fixed2(left + np.arange(n_cols) * cell_w)[cols]
+    pieces[:, 3] = _fixed2(bottom - stacked)[last]
+    pieces[:, 5] = _fixed2(stacked + 0.05)[last - first]
+    pieces[:, 7] = _PALETTE[run_levels]
+    return "".join(pieces.ravel().tolist())[:-1]  # no newline after the last rect
 
 
 def _fixed2(values: np.ndarray) -> np.ndarray:
@@ -119,6 +117,9 @@ def _palette() -> list[str]:
         axis=1,
     ).astype(int)
     return [f"#{r:02x}{g:02x}{b:02x}" for r, g, b in rgb]
+
+
+_PALETTE = np.array(_palette(), dtype=object)
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -141,17 +142,10 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-class _Scale:
+def _scale(lo: float, hi: float, px_lo: float, px_hi: float):
     """Affine map from data coordinates to pixel coordinates, elementwise on arrays."""
-
-    def __init__(self, lo: float, hi: float, px_lo: float, px_hi: float):
-        self.lo = lo
-        span = hi - lo if hi != lo else 1.0
-        self.gain = (px_hi - px_lo) / span
-        self.px_lo = px_lo
-
-    def __call__(self, value: float) -> float:
-        return self.px_lo + (value - self.lo) * self.gain
+    gain = (px_hi - px_lo) / (hi - lo if hi != lo else 1.0)
+    return lambda value: px_lo + (value - lo) * gain
 
 
 def render_plot(spectrogram: Spectrogram, track: PitchTrack,
@@ -180,7 +174,7 @@ def render_plot(spectrogram: Spectrogram, track: PitchTrack,
     if t_hi == t_lo:
         t_hi = t_lo + 1e-3
     f_lo, f_hi = 0.0, float(spectrogram.freq_bins[-1])
-    sx = _Scale(t_lo, t_hi, left, width - right)
+    sx = _scale(t_lo, t_hi, left, width - right)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
@@ -211,9 +205,9 @@ def render_plot(spectrogram: Spectrogram, track: PitchTrack,
         text(left - 52, panel_top + 8, unit, anchor="start", size=11)
 
     # --- panel 1: spectrogram heatmap ------------------------------------
-    parts.extend(_heatmap_rects(spectrogram.magnitudes, left, width - left - right,
+    parts.append(_heatmap_rects(spectrogram.magnitudes, left, width - left - right,
                                 spec_bot, h_spec))
-    sy_spec = _Scale(f_lo, f_hi, spec_bot, spec_top)
+    sy_spec = _scale(f_lo, f_hi, spec_bot, spec_top)
     config = track.config
     for name in ("f_min", "f_max"):
         edge = getattr(config, name, None)
@@ -224,7 +218,7 @@ def render_plot(spectrogram: Spectrogram, track: PitchTrack,
     y_axis(sy_spec, f_lo, f_hi, spec_top, spec_bot, "Hz (dB color)")
 
     # --- panel 2: f0 scatter ---------------------------------------------
-    sy_f0 = _Scale(f_lo, f_hi, f0_bot, f0_top)
+    sy_f0 = _scale(f_lo, f_hi, f0_bot, f0_top)
     circle = ('<circle class="f0" cx="{:.2f}" cy="{:.2f}" r="2.2" fill="#00797f" '
               'stroke="#003344" stroke-width="0.4"/>')
     parts.extend(map(circle.format, sx(track.times[track.voiced]).tolist(),
@@ -234,7 +228,7 @@ def render_plot(spectrogram: Spectrogram, track: PitchTrack,
     # --- panel 3: envelope with silence gate -------------------------------
     env = envelope.values
     env_peak = float(env.max()) if len(env) and float(env.max()) > 0 else 1.0
-    sy_env = _Scale(0.0, env_peak, env_bot, env_top)
+    sy_env = _scale(0.0, env_peak, env_bot, env_top)
     points = " ".join(map("{:.2f},{:.2f}".format,
                           sx(envelope.frame_times).tolist(), sy_env(env).tolist()))
     parts.append(

@@ -320,3 +320,48 @@ def test_load_wav_arbitrary_chunks_decode_or_raise_typed(tmp_path_factory, fmt, 
     if clip is not None:
         assert clip.n_frames >= 1 and clip.sample_rate >= 1
         assert np.all(np.abs(clip.samples) <= 1.0)
+
+
+# WAVE_FORMAT_EXTENSIBLE: the KSDATAFORMAT_SUBTYPE GUIDs share these last 14 bytes
+KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def build_extensible_wav(frames: np.ndarray, sub_tag: int, bits: int, cb_size: int = 22,
+                         guid_tail: bytes = KSDATAFORMAT_TAIL) -> bytes:
+    """Mono RIFF bytes under tag 0xFFFE; ``cb_size`` below 22 cuts the extension short."""
+    data = frames.tobytes()
+    block_align = bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE, 1, 44100, 44100 * block_align, block_align, bits)
+    extension = struct.pack("<HIH", bits, 0x4, sub_tag) + guid_tail  # valid bits, mask, GUID
+    fmt += struct.pack("<H", cb_size) + extension[:cb_size]
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(data)) + data
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("sub_tag,bits,dtype,scale", [(1, 16, "<i2", 32767), (3, 32, "<f4", 0.5)])
+def test_extensible_decodes_as_its_plain_subformat(tmp_path, sub_tag, bits, dtype, scale):
+    tone = np.sin(2 * np.pi * 1000.0 * np.arange(22050) / 44100)  # 0.5 s at 1 kHz
+    frames = (tone * scale).astype(dtype)
+    plain, extensible = tmp_path / "plain.wav", tmp_path / "extensible.wav"
+    plain.write_bytes(build_wav(frames, format_tag=sub_tag, bits=bits))
+    extensible.write_bytes(build_extensible_wav(frames, sub_tag, bits))
+    clip = load_wav(extensible)
+    assert clip.sample_rate == 44100 and clip.duration == 0.5
+    assert np.array_equal(clip.samples, load_wav(plain).samples)
+
+
+@pytest.mark.parametrize("sub_tag,bits,kwargs", [
+    (1, 16, {"guid_tail": bytes(14)}),  # not a KSDATAFORMAT GUID
+    (1, 16, {"cb_size": 0}),  # no extension: the subformat is unknown
+    (1, 16, {"cb_size": 10}),  # an extension cut before its GUID
+    (2, 16, {}),  # ADPCM under the extensible tag
+    (1, 24, {}),  # the plain tags' bit-depth rules still hold
+    (3, 64, {}),
+])
+def test_extensible_other_subformats_rejected(tmp_path, sub_tag, bits, kwargs):
+    path = tmp_path / "a.wav"
+    path.write_bytes(build_extensible_wav(np.zeros(64, dtype="<i2"), sub_tag, bits, **kwargs))
+    with pytest.raises(UnsupportedEncodingError) as caught:
+        load_wav(path)
+    assert caught.value.exit_code == 4

@@ -492,3 +492,30 @@ class TestPlanningIsPure:
         assert "afile is a file" in err
         assert afile.read_text() == "keep me\n"
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_batch_plots_on_two_workers_match_single_input_plots(tmp_path, capsys, monkeypatch):
+    # every plot reads one module-level palette, whichever worker thread draws it
+    monkeypatch.setenv("F0_NUM_THREADS", "2")
+    paths = []
+    for i, spec in enumerate([
+        SynthSpec.tone(1000.0, duration=0.5),
+        SynthSpec.linear_chirp(1500.0, 3000.0, duration=0.5, amplitude=0.5),
+        SynthSpec.harmonic_stack(1200.0, (1.0, 0.5, 0.25), duration=0.5, amplitude=0.6),
+        SynthSpec.concat(SynthSpec.tone(2500.0, duration=0.3, amplitude=0.5),
+                         SynthSpec.silence(duration=0.2), noise_snr_db=40.0, seed=3),
+    ]):
+        clip, _ = synthesize(spec, 44100)
+        paths.append(tmp_path / f"in{i}.wav")
+        write_wav(paths[-1], clip)
+    plots = tmp_path / "plots"
+    assert main(["track", *map(str, paths), "--refine", "--out", str(tmp_path / "tables"),
+                 "--plot", str(plots)]) == 0
+    svgs = set()
+    for path in paths:
+        single = tmp_path / f"{path.stem}.single.svg"
+        assert main(["track", str(path), "--refine", "--out", str(tmp_path / "t.txt"),
+                     "--plot", str(single)]) == 0
+        assert (plots / f"{path.stem}.f0.svg").read_bytes() == single.read_bytes()
+        svgs.add(single.read_bytes())
+    assert len(svgs) == 4

@@ -1,10 +1,15 @@
 import io
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f0kit import (
+    AudioClip,
     PitchTrack,
     SpectrogramConfig,
     SynthSpec,
@@ -16,9 +21,16 @@ from f0kit import (
     synthesize,
     track,
 )
-from f0kit.export import _DB_FLOOR, _heatmap_runs, _palette, _pool_max
+from f0kit.export import _DB_FLOOR, _heatmap_rects, _heatmap_runs, _palette, _pool_max
 from conftest import GOLDEN_DIR
 import oracles
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from songgen import SAMPLE_RATE, generate  # noqa: E402
+
+# the plot's spectrogram panel: left edge, width, bottom edge and height in px,
+# the layout that oracles.heatmap_rects defaults to
+PANEL = (70.0, 870.0, 260.0, 240.0)
 
 
 def analyzed_tone(f0=1000.0, duration=0.25, **tracker_kwargs):
@@ -198,6 +210,8 @@ def test_heatmap_matches_per_cell_reference(tmp_path, name):
 @pytest.mark.parametrize("shape", [
     (1, 1), (1, 385), (193, 1), (192, 384), (193, 385),
     (257, 769), (513, 515), (600, 1200), (1025, 97),
+    (513, 5168),  # a 60 s clip: 14 frames per column, the last column of 2
+    (1000, 1543),  # windows of 6 rows and 5 columns, the last of 4 rows and 3 columns
 ])
 def test_pool_max_matches_reshape_reference(shape):
     rng = np.random.default_rng(sum(shape))
@@ -232,3 +246,26 @@ def test_db_conversion_never_decreases_across_level_edges(peak):
         levels = np.rint(np.fmax(db, _DB_FLOOR) - _DB_FLOOR)
         assert np.all(np.diff(levels) >= 0), db_edge
         assert levels[0] < levels[-1] or db_edge == _DB_FLOOR
+
+
+def test_heatmap_text_matches_per_run_reference_on_a_song_clip():
+    # the benchmark's shape: a 6 s song clip, pooled on both axes
+    (clip,) = generate("song", 0, 1, 6.0)
+    spec = spectrogram(AudioClip(samples=clip.samples / 32768.0, sample_rate=SAMPLE_RATE))
+    assert spec.magnitudes.shape == (513, 515)
+    want = oracles.heatmap_rects(spec.magnitudes, _palette())
+    assert len(want) > 1000
+    assert _heatmap_rects(spec.magnitudes, *PANEL) == "\n".join(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_rows=st.integers(1, 200), n_cols=st.integers(1, 400), n_levels=st.integers(1, 81),
+       run=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_heatmap_text_matches_per_run_reference(n_rows, n_cols, n_levels, run, seed):
+    # whole dB levels in vertical runs of up to `run` cells; past 192 rows or
+    # 384 columns the panel pools, and one level makes one rect per column
+    rng = np.random.default_rng(seed)
+    levels = np.repeat(rng.integers(0, n_levels, (-(-n_rows // run), n_cols)), run, axis=0)
+    magnitudes = 10.0 ** (levels[:n_rows] / 20.0)
+    want = oracles.heatmap_rects(magnitudes, _palette())
+    assert _heatmap_rects(magnitudes, *PANEL) == "\n".join(want)

@@ -5,8 +5,8 @@ window derived from the configured frequency band, so their outputs line up
 frame for frame and can be compared directly against the spectral tracker.
 Lag products come from FFTs (Wiener-Khinchin; YIN's difference function from
 a cross-correlation plus energy sums). Each detector's whole per-frame
-decision runs on one chunk of frames at a time, so only the per-frame lag,
-strength and voicing outlive a chunk. Each integer-lag peak is refined with
+decision runs on one chunk of frames at a time, so only the per-frame lag
+and voicing outlive a chunk. Each integer-lag peak is refined with
 a parabolic fit through its neighbours, which removes most of the
 lag-quantization error at high fundamentals (at 4 kHz and 44.1 kHz a whole
 lag step is worth hundreds of Hz).
@@ -140,8 +140,7 @@ def pick_yin(dn: np.ndarray, tau_min: int, threshold: float):
     """First lag of ``dn`` (lags 0..tau_max) in [tau_min, tau_max] under ``threshold``.
 
     Walks downhill to the first t with dn[t+1] >= dn[t] (or tau_max) and
-    returns (lag, 1 - dn there, voiced); rows that never cross report
-    tau_min and 1 - their minimum over the window.
+    returns (lag, voiced); rows that never cross report tau_min, unvoiced.
     """
     window = dn[:, tau_min:]
     below = window < threshold
@@ -149,9 +148,7 @@ def pick_yin(dn: np.ndarray, tau_min: int, threshold: float):
     stop = np.ones(window.shape, dtype=bool)
     stop[:, :-1] = window[:, 1:] >= window[:, :-1]
     stop &= np.arange(window.shape[1]) >= np.argmax(below, axis=1)[:, None]
-    i = np.where(voiced, np.argmax(stop, axis=1), 0)
-    value = np.where(voiced, window[np.arange(len(dn)), i], window.min(axis=1))
-    return tau_min + i, 1.0 - value, voiced
+    return tau_min + np.where(voiced, np.argmax(stop, axis=1), 0), voiced
 
 
 def _chunk_frames(n_lags: int) -> int:
@@ -163,17 +160,17 @@ def _per_chunk(clip: AudioClip, config: BaselineConfig, decide) -> PitchTrack:
     """The track from ``decide(chunk, tau_min, tau_max)``, run on one chunk of frames
     at a time (see ``_chunk_frames``).
 
-    ``decide`` returns each frame's (lag, strength, voiced); only those columns
+    ``decide`` returns each frame's (lag, voiced); only those columns
     outlive a chunk, so memory does not grow with the clip's frames x lags.
     """
     fs = clip.sample_rate
     frames, times = _framed(clip, config.frame_size, config.hop)
     tau_min, tau_max = config.lag_range(fs)
-    lag, strength, voiced = _blockwise(
+    lag, voiced = _blockwise(
         lambda chunk: np.column_stack(decide(chunk, tau_min, tau_max)),
-        frames, 3, _chunk_frames(tau_max + 1)).T
+        frames, 2, _chunk_frames(tau_max + 1)).T
     f0 = np.where(voiced > 0.0, fs / np.clip(lag, fs / config.f_max, fs / config.f_min), np.nan)
-    return PitchTrack(times=times, f0=f0, peak_magnitude=strength, config=config)
+    return PitchTrack(times=times, f0=f0, config=config)
 
 
 def autocorr_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> PitchTrack:
@@ -188,7 +185,7 @@ def autocorr_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> Pit
         r0 = np.einsum("ij,ij->i", chunk, chunk)[:, None]
         norm = np.divide(r, r0, out=np.zeros_like(r), where=r0 > 0.0)
         i, strength = pick_max(norm)
-        return tau_min + i + _refine_at(norm, i), strength, strength >= 0.5
+        return tau_min + i + _refine_at(norm, i), strength >= 0.5
 
     return _per_chunk(clip, config or BaselineConfig(), decide)
 
@@ -206,8 +203,8 @@ def yin_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> PitchTra
 
     def decide(chunk, tau_min, tau_max):
         _, dn = difference(chunk, tau_max)
-        tau, strength, voiced = pick_yin(dn, tau_min, config.yin_threshold)
-        return tau + _refine_at(dn, tau), strength, voiced
+        tau, voiced = pick_yin(dn, tau_min, config.yin_threshold)
+        return tau + _refine_at(dn, tau), voiced
 
     return _per_chunk(clip, config, decide)
 
@@ -233,7 +230,7 @@ def cepstrum_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> Pit
         region = _blockwise(quefrencies, chunk, tau_max - tau_min + 1)
         i, strength = pick_max(region)
         voiced = strength > 4.0 * np.median(np.abs(region), axis=1)
-        return tau_min + i + _refine_at(region, i), strength, voiced
+        return tau_min + i + _refine_at(region, i), voiced
 
     return _per_chunk(clip, config, decide)
 

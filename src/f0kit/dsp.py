@@ -75,7 +75,6 @@ class Spectrogram:
     magnitudes: np.ndarray  # (n_freq_bins, n_frames), nonnegative
     freq_bins: np.ndarray  # Hz, ascending; bin k sits at k*fs/window_size
     frame_times: np.ndarray  # seconds, frame centres
-    sample_rate: int
 
     def __post_init__(self):
         _freeze(self, "magnitudes", "freq_bins", "frame_times")
@@ -153,7 +152,6 @@ def spectrogram(clip: AudioClip, config: SpectrogramConfig | None = None) -> Spe
         magnitudes=mags,
         freq_bins=np.arange(mags.shape[0]) * (clip.sample_rate / config.window_size),
         frame_times=times,
-        sample_rate=clip.sample_rate,
     )
 
 

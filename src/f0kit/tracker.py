@@ -61,20 +61,16 @@ class PitchTrack:
 
     Unvoiced frames are kept (f0 = NaN) rather than dropped, so the track
     stays aligned column-for-column with the spectrogram it came from.
-    ``peak_magnitude`` holds the detector's per-frame peak statistic: the
-    band-maximum spectrogram magnitude here, a normalized peak value for the
-    baseline detectors.
     """
 
     times: np.ndarray
     f0: np.ndarray  # Hz; NaN where unvoiced
-    peak_magnitude: np.ndarray
     config: Any
 
     def __post_init__(self):
-        if not len(self.times) == len(self.f0) == len(self.peak_magnitude):
+        if len(self.times) != len(self.f0):
             raise ValueError("track arrays must share one length")
-        _freeze(self, "times", "f0", "peak_magnitude")
+        _freeze(self, "times", "f0")
 
     @property
     def voiced(self) -> np.ndarray:
@@ -93,20 +89,6 @@ class PitchTrack:
         return self.f0[self.voiced]
 
 
-def refine_peak(m_left, m_center, m_right, bin_width: float = 1.0):
-    """Sub-bin peak offset from parabolic interpolation, in units of ``bin_width``.
-
-    Fits a parabola through three neighbouring magnitudes and returns the
-    vertex offset relative to the centre bin, clamped to half a bin either
-    side; elementwise for arrays. Degenerate (collinear) points give 0.
-    """
-    denom = np.asarray(m_left - 2.0 * m_center + m_right, dtype=float)
-    delta = np.divide(m_left - m_right, 2.0 * denom, out=np.zeros(denom.shape),
-                      where=denom != 0.0)
-    offset = np.clip(delta, -0.5, 0.5) * bin_width
-    return float(offset) if offset.ndim == 0 else offset
-
-
 def pick_max(rows: np.ndarray):
     """Column of each row's first maximum, and that maximum."""
     i = np.argmax(rows, axis=1)
@@ -114,12 +96,15 @@ def pick_max(rows: np.ndarray):
 
 
 def _refine_at(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Parabolic sub-column offset at ``rows[j, cols[j]]``; 0 at either end of a row."""
+    """Vertex offset of the parabola through ``rows[j, cols[j]]`` and its neighbours,
+    clamped to [-0.5, 0.5]; 0 at either end of a row and on collinear points."""
     j = np.arange(len(rows))
     last = rows.shape[1] - 1
-    delta = refine_peak(rows[j, np.maximum(cols - 1, 0)], rows[j, cols],
-                        rows[j, np.minimum(cols + 1, last)])
-    return np.where((cols > 0) & (cols < last), delta, 0.0)
+    left, right = rows[j, np.maximum(cols - 1, 0)], rows[j, np.minimum(cols + 1, last)]
+    denom = left - 2.0 * rows[j, cols] + right
+    delta = np.divide(left - right, 2.0 * denom, out=np.zeros(len(rows)),
+                      where=(denom != 0.0) & (cols > 0) & (cols < last))
+    return np.clip(delta, -0.5, 0.5)
 
 
 def track(spec: Spectrogram, env: Envelope, config: TrackerConfig | None = None) -> PitchTrack:
@@ -169,5 +154,4 @@ def track(spec: Spectrogram, env: Envelope, config: TrackerConfig | None = None)
         np.clip(f0, config.f_min, config.f_max, out=f0)
 
     f0[~voiced] = np.nan
-    return PitchTrack(times=spec.frame_times, f0=f0, peak_magnitude=peak_mags,
-                      config=config)
+    return PitchTrack(times=spec.frame_times, f0=f0, config=config)

@@ -74,6 +74,5 @@ def test_any_clip_gives_a_track_or_a_typed_error(method, clip, f_min):
     assert isinstance(result, PitchTrack)
     assert result.n_frames == (clip.n_frames - frame_size) // 512 + 1
     assert np.all(np.diff(result.times) > 0)
-    assert np.all(np.isfinite(result.peak_magnitude))
     f0 = result.voiced_f0()
     assert np.all((f0 >= f_min * (1 - 1e-12)) & (f0 <= 8000.0 * (1 + 1e-12)))

@@ -87,18 +87,11 @@ class TestAutocorr:
         clip = random_clip(rng, 4 * 2048)
         result = autocorr_pitch(clip, BaselineConfig())
         assert result.voiced_fraction() == 0.0
-        assert np.all(result.peak_magnitude < 0.5)
 
     def test_all_zero_clip_unvoiced(self):
         clip = AudioClip(samples=np.zeros(4096), sample_rate=SR)
         result = autocorr_pitch(clip, BaselineConfig())
         assert result.voiced_fraction() == 0.0
-
-    def test_normalized_values_in_range(self, rng):
-        clip = random_clip(rng, 8192)
-        result = autocorr_pitch(clip, BaselineConfig())
-        assert np.all(result.peak_magnitude <= 1.0 + 1e-12)
-        assert np.all(result.peak_magnitude >= -1.0 - 1e-12)
 
     def test_band_containment(self):
         clip, _ = synthesize(SynthSpec.tone(1000.0), SR)

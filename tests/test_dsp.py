@@ -134,8 +134,7 @@ class TestSpectrogram:
 
 def test_spectrogram_freezes_views_not_the_callers_arrays():
     mags, freqs, times = np.ones((3, 2)), np.arange(3.0), np.arange(2.0)
-    spec = Spectrogram(magnitudes=mags, freq_bins=freqs, frame_times=times,
-                       sample_rate=8000)
+    spec = Spectrogram(magnitudes=mags, freq_bins=freqs, frame_times=times)
     for given, stored in ((mags, spec.magnitudes), (freqs, spec.freq_bins),
                           (times, spec.frame_times)):
         assert_frozen_view(given, stored)

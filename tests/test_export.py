@@ -58,16 +58,13 @@ class TestTable:
 
     def test_unvoiced_written_as_nan(self):
         result = PitchTrack(
-            times=np.array([0.0]), f0=np.array([np.nan]),
-            peak_magnitude=np.array([0.0]), config=TrackerConfig())
+            times=np.array([0.0]), f0=np.array([np.nan]), config=TrackerConfig())
         buf = io.StringIO()
         export_table(result, buf)
         assert buf.getvalue().splitlines()[1] == "0.000000\tnan"
 
     def test_empty_track_rejected(self):
-        empty = PitchTrack(times=np.zeros(0), f0=np.zeros(0),
-                           peak_magnitude=np.zeros(0),
-                           config=TrackerConfig())
+        empty = PitchTrack(times=np.zeros(0), f0=np.zeros(0), config=TrackerConfig())
         buf = io.StringIO()
         with pytest.raises(ValueError):
             export_table(empty, buf)

@@ -19,8 +19,9 @@ from f0kit import (
     synthesize,
     track,
 )
-from f0kit.tracker import db_to_ratio, refine_peak
+from f0kit.tracker import _refine_at, db_to_ratio
 from conftest import assert_frozen_view, random_clip
+from oracles import _parabola
 
 BIN_WIDTH = 44100 / 1024
 
@@ -106,8 +107,7 @@ class TestTrack:
         times = np.array([0.0])
         freqs = np.array([0.0, 1000.0, 2000.0, 3000.0])
         mags = np.array([[0.0], [5.0], [5.0], [1.0]])
-        spec = Spectrogram(magnitudes=mags, freq_bins=freqs,
-                           frame_times=times, sample_rate=8000)
+        spec = Spectrogram(magnitudes=mags, freq_bins=freqs, frame_times=times)
         env = Envelope(values=np.array([1.0]), frame_times=times)
         result = track(spec, env, TrackerConfig(f_min=500.0, f_max=3500.0))
         assert result.f0[0] == 1000.0
@@ -160,21 +160,17 @@ class TestTrack:
         b = analyze(clip)
         assert np.array_equal(a.f0, b.f0, equal_nan=True)
         assert np.array_equal(a.voiced, b.voiced)
-        assert np.array_equal(a.peak_magnitude, b.peak_magnitude)
 
 
 class TestRefinePeak:
-    def test_symmetric_vertex(self):
-        assert refine_peak(1.0, 2.0, 1.0, BIN_WIDTH) == 0.0
-
-    def test_plateau_right(self):
-        assert refine_peak(1.0, 2.0, 2.0, BIN_WIDTH) == pytest.approx(0.5 * BIN_WIDTH)
-
-    def test_plateau_left(self):
-        assert refine_peak(2.0, 2.0, 1.0, BIN_WIDTH) == pytest.approx(-0.5 * BIN_WIDTH)
-
-    def test_degenerate_flat(self):
-        assert refine_peak(2.0, 2.0, 2.0, BIN_WIDTH) == 0.0
+    @pytest.mark.parametrize("row,offset", [
+        ((1.0, 2.0, 1.0), 0.0),  # symmetric vertex
+        ((1.0, 2.0, 2.0), 0.5),  # plateau to the right
+        ((2.0, 2.0, 1.0), -0.5),  # plateau to the left
+        ((2.0, 2.0, 2.0), 0.0),  # flat: no vertex
+    ])
+    def test_offset_at_the_middle_of_a_row(self, row, offset):
+        assert _refine_at(np.array([row]), np.array([1]))[0] == offset
 
     def test_1khz_tone_refined_within_5hz(self, tone_1khz):
         clip, _ = tone_1khz
@@ -192,15 +188,13 @@ class TestRefinePeak:
 class TestPitchTrack:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            PitchTrack(times=np.array([0.0, 1.0]), f0=np.array([np.nan]),
-                       peak_magnitude=np.array([1.0]), config=None)
+            PitchTrack(times=np.array([0.0, 1.0]), f0=np.array([np.nan]), config=None)
 
     def test_freezes_views_not_the_callers_arrays(self):
-        times, f0, peaks = np.arange(2.0), np.array([np.nan, 1.0]), np.ones(2)
-        result = PitchTrack(times=times, f0=f0, peak_magnitude=peaks, config=None)
+        times, f0 = np.arange(2.0), np.array([np.nan, 1.0])
+        result = PitchTrack(times=times, f0=f0, config=None)
         assert_frozen_view(times, result.times)
         assert_frozen_view(f0, result.f0)
-        assert_frozen_view(peaks, result.peak_magnitude)
 
     def test_track_shares_the_spectrogram_times(self, tone_1khz):
         clip, _ = tone_1khz
@@ -235,10 +229,9 @@ def test_refine_peak_arrays_match_scalar_calls(rng):
     left, center, right = rng.uniform(0.0, 1.0, (3, 500))
     center[:50] = left[:50]  # plateaus clamp to +-0.5
     left[50:60] = center[50:60] = right[50:60]  # collinear: offset 0
-    offsets = refine_peak(left, center, right, BIN_WIDTH)
+    offsets = _refine_at(np.column_stack([left, center, right]), np.ones(500, dtype=int))
     for j in range(500):
-        assert offsets[j] == refine_peak(left[j], center[j], right[j], BIN_WIDTH)
-    assert isinstance(refine_peak(1.0, 2.0, 1.5, BIN_WIDTH), float)
+        assert offsets[j] == _parabola(left[j], center[j], right[j])
 
 
 def test_refined_track_matches_per_frame_refinement(rng):
@@ -253,5 +246,5 @@ def test_refined_track_matches_per_frame_refinement(rng):
         k = int(round(plain.f0[j] / spec.bin_width))
         want = plain.f0[j]
         if 0 < k < last:
-            want += refine_peak(mags[k - 1, j], mags[k, j], mags[k + 1, j], spec.bin_width)
+            want += _parabola(mags[k - 1, j], mags[k, j], mags[k + 1, j]) * spec.bin_width
         assert refined.f0[j] == min(max(want, 800.0), 8000.0)

@@ -49,10 +49,12 @@ class AudioClip:
 
     ``samples`` is 1-D with shape ``(n_frames,)``; :func:`load_wav` averages
     a multichannel file down to it. Instances are immutable and safe to share
-    across threads. A writable array passed in is copied, so a later write by
-    the caller cannot bypass the checks. A read-only float64 array is kept as
-    it is, so it must not change through another view either (``load_wav``
-    and ``synthesize`` hand over arrays nothing else holds).
+    across threads. The array passed in is copied, so that a later write by
+    the caller cannot bypass the checks, unless it is a read-only float64
+    array that owns its data (``base is None``), as ``load_wav`` and
+    ``synthesize`` hand over. Such an array has no base to write through,
+    but a writable view taken of it before it was made read-only must not
+    be written either.
     """
 
     samples: np.ndarray
@@ -60,9 +62,10 @@ class AudioClip:
 
     def __post_init__(self):
         given = self.samples
-        read_only = isinstance(given, np.ndarray) and not given.flags.writeable
+        sealed = (isinstance(given, np.ndarray) and not given.flags.writeable
+                  and given.base is None)
         object.__setattr__(self, "samples",
-                           (np.asarray if read_only else np.array)(given, dtype=np.float64))
+                           (np.asarray if sealed else np.array)(given, dtype=np.float64))
         _freeze(self, "samples")
         samples = self.samples
         if self.sample_rate <= 0:

@@ -4,12 +4,16 @@ All three estimators share a common framing scheme and search the same lag
 window derived from the configured frequency band, so their outputs line up
 frame for frame and can be compared directly against the spectral tracker.
 Lag products come from FFTs (Wiener-Khinchin; YIN's difference function from
-a cross-correlation plus energy sums). Each detector's whole per-frame
-decision runs on one chunk of frames at a time, so only the per-frame lag
-and voicing outlive a chunk. Each integer-lag peak is refined with
-a parabolic fit through its neighbours, which removes most of the
-lag-quantization error at high fundamentals (at 4 kHz and 44.1 kHz a whole
-lag step is worth hundreds of Hz).
+a cross-correlation plus energy sums). Both are sums over a frame's samples,
+so where the hop allows they are assembled from hop-long segments, each
+transformed once and shared by the frames that overlap it, with one small
+inverse transform per frame; any other hop treats each frame as one
+segment. Each detector's whole per-frame decision runs on one chunk of
+frames at a time, so only the per-frame lag and voicing outlive a chunk.
+Each integer-lag peak is refined with a parabolic fit through its
+neighbours, which removes most of the lag-quantization error at high
+fundamentals (at 4 kHz and 44.1 kHz a whole lag step is worth hundreds of
+Hz).
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioClip
-from .dsp import _BLOCK, _blockwise, _framed
+from .dsp import _blockwise, _framed
 from .errors import ConfigError
 from .tracker import PitchTrack, _refine_at, pick_max
 
@@ -78,8 +83,16 @@ class BaselineConfig:
 # 128 frames at 442 lags, 1152 at 56 (at 128 there, calls ran about 6 % slower).
 _CHUNK_CELLS = 1 << 16
 
+# Frames per block of acf and yin lag products, measured in-process on 6 s song
+# and lowband clips (interleaved medians on a warm worker thread): against 32,
+# 64-frame blocks ran one call 2-16 % faster and a 2-thread batch more evenly
+# (efficiency 0.60-0.80 -> 0.74-0.88). 96 and 128 ran lowband acf 1.5-1.7x
+# slower: their spectra fall out of cache.
+_LAG_BLOCK = 64
+
 # d(tau) under this share of the frame energy is FFT rounding noise (at most
-# 3e-14 measured); it is zeroed, else it alone can voice a constant frame.
+# 3e-14 measured; 4e-15 with shared segments); it is zeroed, else it alone can
+# voice a constant frame.
 _D_NOISE = 1e-12
 
 
@@ -91,42 +104,85 @@ def _fft_size(n: int) -> int:
                if size >= n)
 
 
-def autocorrelation(frames: np.ndarray, tau_max: int) -> np.ndarray:
-    """r(tau) = sum_t x[t] x[t+tau] for tau = 0..tau_max, per frame."""
-    size = _fft_size(frames.shape[1] + tau_max)  # no circular wrap-around
+def _segments(frames: np.ndarray, seg: int, parts: int, width: int) -> np.ndarray:
+    """Rows of ``width`` samples, one per ``seg``-sample segment under ``frames``.
+
+    With ``parts`` segments per frame the frames must lie ``seg`` samples
+    apart, so frame j's segments are rows j .. j + parts - 1 of the
+    ``len(frames) + parts - 1`` shared ones; samples past the last frame read 0.
+    With one part each frame is its own row.
+    """
+    if parts == 1:
+        return frames[:, :width]
+    pad = max(0, (parts - 1) * seg + width - frames.shape[1])
+    x = np.concatenate([frames[:-1, :seg].ravel(), frames[-1], np.zeros(pad)])
+    return sliding_window_view(x, width)[::seg][: len(frames) + parts - 1]
+
+
+def _frame_sums(rows: np.ndarray, parts: int, n: int) -> np.ndarray:
+    """Per frame j < n, the sum of segment rows j .. j + parts - 1."""
+    return sum((rows[k : k + n] for k in range(1, parts)), rows[:n])
+
+
+def autocorrelation(frames: np.ndarray, tau_max: int, hop: int | None = None) -> np.ndarray:
+    """r(tau) = sum_t x[t] x[t+tau] for tau = 0..tau_max, per frame.
+
+    When ``hop`` (the frames' spacing) divides the frame and tau_max <= hop,
+    each hop-long segment S_k and the hop + tau_max samples Y_k starting with
+    it are transformed once, and a frame's spectrum is the sum of
+    conj(S_k) Y_k over its segments but the last, plus |S_k|^2 for the last.
+    Otherwise (or with ``hop=None``) each frame is one segment.
+    """
+    n = frames.shape[1]
+    parts = n // hop if hop and n % hop == 0 and tau_max <= hop else 1
+    seg = n // parts
+    size = _fft_size(seg + tau_max)  # no circular wrap-around
 
     def lag_products(block):
-        spec = np.fft.rfft(block, size, axis=1)
-        power = spec.real * spec.real + spec.imag * spec.imag
+        rows = _segments(block, seg, parts, seg + tau_max)
+        s = np.fft.rfft(rows[:, :seg], size, axis=1)
+        power = s.real * s.real + s.imag * s.imag
+        if parts > 1:
+            cross = s[:-1].conj() * np.fft.rfft(rows[:-1], size, axis=1)
+            power = _frame_sums(cross, parts - 1, len(block)) + power[parts - 1 :]
         return np.fft.irfft(power, size, axis=1)[:, : tau_max + 1]
 
-    return _blockwise(lag_products, frames, tau_max + 1)
+    return _blockwise(lag_products, frames, tau_max + 1, _LAG_BLOCK)
 
 
-def difference(frames: np.ndarray, tau_max: int) -> tuple[np.ndarray, np.ndarray]:
+def difference(frames: np.ndarray, tau_max: int,
+               hop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """YIN difference d and its cumulative-mean normalization d' (d'(0) = 1).
 
     d(tau) = sum_{t<w} (x[t] - x[t+tau])^2 over the first half frame, for
-    tau = 0..tau_max, formed as E_0 + E_tau - 2 c(tau): c correlates the
-    first w samples with the first w + tau_max, and the energies come from
-    one cumulative sum.
+    tau = 0..tau_max, formed as E_0 + E_tau - 2 c(tau). c sums, over the
+    half frame's segments, the correlation of each segment S_k with the
+    seg + tau_max samples Y_k that start with it. Segments are ``hop`` long,
+    and shared between frames, when ``hop`` (the frames' spacing) divides w;
+    otherwise (or with ``hop=None``) the half frame is one segment. E_tau
+    runs from E_0 by one cumulative sum of tau_max terms per frame.
     """
     w = frames.shape[1] // 2
-    span = w + tau_max
-    size = _fft_size(span)
+    parts = w // hop if hop and w % hop == 0 else 1
+    seg = w // parts
+    width = seg + tau_max
+    size = _fft_size(width)
 
     def differences(block):
-        x = block[:, :span]
-        c = np.fft.irfft(np.fft.rfft(x[:, :w], size, axis=1).conj()
-                         * np.fft.rfft(x, size, axis=1), size, axis=1)[:, : tau_max + 1]
-        energy = np.zeros((len(x), span + 1))
-        np.cumsum(x * x, axis=1, out=energy[:, 1:])
-        e_tau = energy[:, w:] - energy[:, : tau_max + 1]
-        rows = e_tau[:, :1] + e_tau - 2.0 * c
-        rows[rows <= _D_NOISE * energy[:, -1:]] = 0.0
-        return rows
+        rows = _segments(block, seg, parts, width)
+        cross = np.fft.rfft(rows[:, :seg], size, axis=1).conj() * np.fft.rfft(rows, size, axis=1)
+        c = np.fft.irfft(_frame_sums(cross, parts, len(block)), size, axis=1)[:, : tau_max + 1]
+        head, tail = block[:, :tau_max], block[:, w : w + tau_max]
+        e_0 = np.einsum("ij,ij->i", block[:, :w], block[:, :w])[:, None]
+        e_tau = np.zeros_like(c)  # E_tau = E_0 + sum_{v<tau} (x[w+v]^2 - x[v]^2)
+        np.cumsum(tail * tail - head * head, axis=1, out=e_tau[:, 1:])
+        e_tau += e_0
+        d = e_0 + e_tau - 2.0 * c
+        # under this share of the first w + tau_max samples' energy, d is rounding noise
+        d[d <= _D_NOISE * (e_0 + np.einsum("ij,ij->i", tail, tail)[:, None])] = 0.0
+        return d
 
-    d = _blockwise(differences, frames, tau_max + 1)
+    d = _blockwise(differences, frames, tau_max + 1, _LAG_BLOCK)
     d[:, 0] = 0.0
     # all-zero frames keep d'(tau) = 1
     cumulative = np.cumsum(d[:, 1:], axis=1)
@@ -152,8 +208,8 @@ def pick_yin(dn: np.ndarray, tau_min: int, threshold: float):
 
 
 def _chunk_frames(n_lags: int) -> int:
-    """Frames per decision: whole FFT blocks, up to ``_CHUNK_CELLS`` lag cells."""
-    return max(1, _CHUNK_CELLS // n_lags // _BLOCK) * _BLOCK
+    """Frames per decision: whole lag-product blocks, up to ``_CHUNK_CELLS`` lag cells."""
+    return max(1, _CHUNK_CELLS // n_lags // _LAG_BLOCK) * _LAG_BLOCK
 
 
 def _per_chunk(clip: AudioClip, config: BaselineConfig, decide) -> PitchTrack:
@@ -179,15 +235,16 @@ def autocorr_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> Pit
     A frame is voiced when the autocorrelation peak inside the lag window
     reaches 0.5 after normalizing by the zero-lag energy.
     """
+    config = config or BaselineConfig()
 
     def decide(chunk, tau_min, tau_max):
-        r = autocorrelation(chunk, tau_max)[:, tau_min:]
+        r = autocorrelation(chunk, tau_max, config.hop)[:, tau_min:]
         r0 = np.einsum("ij,ij->i", chunk, chunk)[:, None]
         norm = np.divide(r, r0, out=np.zeros_like(r), where=r0 > 0.0)
         i, strength = pick_max(norm)
         return tau_min + i + _refine_at(norm, i), strength >= 0.5
 
-    return _per_chunk(clip, config or BaselineConfig(), decide)
+    return _per_chunk(clip, config, decide)
 
 
 def yin_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> PitchTrack:
@@ -202,7 +259,7 @@ def yin_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> PitchTra
     config = config or BaselineConfig()
 
     def decide(chunk, tau_min, tau_max):
-        _, dn = difference(chunk, tau_max)
+        _, dn = difference(chunk, tau_max, config.hop)
         tau, voiced = pick_yin(dn, tau_min, config.yin_threshold)
         return tau + _refine_at(dn, tau), voiced
 

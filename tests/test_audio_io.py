@@ -186,6 +186,17 @@ def test_clip_keeps_a_read_only_array():
     assert np.shares_memory(x, AudioClip(samples=x, sample_rate=8000).samples)
 
 
+def test_clip_copies_a_read_only_view_of_a_writable_array():
+    # the view is read-only, but a write through its base would still reach it
+    x = np.full(44100, 0.1)
+    v = x.view()
+    v.setflags(write=False)
+    clip = AudioClip(samples=v, sample_rate=44100)
+    x[100] = np.nan
+    assert not np.shares_memory(x, clip.samples)
+    assert np.all(clip.samples == 0.1)
+
+
 def test_loaders_hand_over_arrays_the_clip_need_not_copy(tmp_path, monkeypatch):
     given = []
 

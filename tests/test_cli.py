@@ -341,6 +341,21 @@ def test_parser_rejects_unknown_method():
         build_parser().parse_args(["track", "x.wav", "--method", "praat"])
 
 
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            with pytest.raises(SystemExit):
+                main(["track", "x.wav", "--method", "praat"])
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    assert "invalid choice" in capsys.readouterr().err
+    assert build_parser() is not build_parser()
+
+
 def _float_wav(samples: np.ndarray, sample_rate: int = 44100) -> bytes:
     """Mono 32-bit float WAV bytes, written by hand so NaN gets through."""
     payload = np.asarray(samples, dtype="<f4").tobytes()

@@ -1,11 +1,13 @@
 """Frame-by-frame pins of the baselines' FFT lag products and array picks.
 
-The acf and yin detectors compute their lag products by FFT, and all three
+The acf and yin detectors compute their lag products by FFT, from segments
+shared between overlapping frames where the hop allows, and all three
 detectors pick peaks on (frame x lag) arrays, one chunk of frames at a time.
 These tests hold both to the literal loops in ``oracles.py``: the lag
 products to ``acf_scan`` and ``yin_scan`` within a stated rounding
-tolerance, and the picks, with their parabolic refinement, exactly on every
-frame, across chunk edges too.
+tolerance, on one-segment and shared-segment geometries, and the picks,
+with their parabolic refinement, exactly on every frame, across chunk edges
+too.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ from f0kit import baselines
 from f0kit.baselines import (
     BASELINES,
     _chunk_frames,
+    _fft_size,
     autocorrelation,
     difference,
     pick_max,
@@ -43,7 +46,8 @@ from oracles import (
 SR = 44100
 
 # Rounding of the FFT route, as a share of the frame energy (sum of squares).
-# Measured at most 3e-14 on frames of up to 4096 samples; allowed: 1e-12.
+# Measured at most 3e-14 on frames of up to 4096 samples, and 4e-15 with
+# segments shared between frames; allowed: 1e-12.
 TOL = 1e-12
 
 
@@ -79,41 +83,100 @@ def _case_frames(frame_size, f_min, count):
         yield name, frames[:count], tau_min, tau_max
 
 
+def _assert_acf_matches_scan(name, frames, r, tau_min, tau_max, checked):
+    for j in checked:
+        frame = frames[j]
+        values, r0 = acf_scan(frame, tau_min, tau_max)
+        assert abs(r[j, 0] - r0) <= TOL * r0, name
+        want = np.array([values[tau] for tau in range(tau_min, tau_max + 1)])
+        norm = r[j, tau_min:] / r0
+        assert np.max(np.abs(norm - want)) <= TOL, name
+
+        # chosen lag: the oracle's, unless two lags tie within rounding
+        got, _ = pick_max(norm[None, :])
+        lag, _, _, _ = acf_pick(want, r0, tau_min)
+        if tau_min + got[0] != lag:
+            assert abs(want[got[0]] - want[lag - tau_min]) <= 2 * TOL, name
+
+
+def _assert_difference_matches_scan(name, frames, d, dn, tau_min, tau_max, checked):
+    threshold = BaselineConfig().yin_threshold
+    lags, _ = pick_yin(dn, tau_min, threshold)
+    for j in checked:
+        frame = frames[j]
+        d_ref, dn_ref = yin_scan(frame, tau_max)
+        energy = float(np.dot(frame, frame))
+        assert np.max(np.abs(d[j] - d_ref)) <= TOL * energy, name
+
+        # chosen lag: the oracle's, unless both lags sit at d ~ 0, where
+        # the FFT route cannot order them (it sets d below TOL * energy
+        # to exactly 0)
+        lag, _, _, _ = yin_pick(dn_ref, tau_min, tau_max, threshold)
+        if lags[j] != lag:
+            assert max(d_ref[lags[j]], d_ref[lag]) <= TOL * energy, name
+
+
 @pytest.mark.parametrize("frame_size,f_min,count", CASES)
 def test_autocorrelation_matches_acf_scan(frame_size, f_min, count):
     for name, frames, tau_min, tau_max in _case_frames(frame_size, f_min, count):
-        r = autocorrelation(frames, tau_max)
-        for j, frame in enumerate(frames):
-            values, r0 = acf_scan(frame, tau_min, tau_max)
-            assert abs(r[j, 0] - r0) <= TOL * r0, name
-            want = np.array([values[tau] for tau in range(tau_min, tau_max + 1)])
-            norm = r[j, tau_min:] / r0
-            assert np.max(np.abs(norm - want)) <= TOL, name
-
-            # chosen lag: the oracle's, unless two lags tie within rounding
-            got, _ = pick_max(norm[None, :])
-            lag, _, _, _ = acf_pick(want, r0, tau_min)
-            if tau_min + got[0] != lag:
-                assert abs(want[got[0]] - want[lag - tau_min]) <= 2 * TOL, name
+        _assert_acf_matches_scan(name, frames, autocorrelation(frames, tau_max),
+                                 tau_min, tau_max, range(len(frames)))
 
 
 @pytest.mark.parametrize("frame_size,f_min,count", CASES)
 def test_difference_matches_yin_scan(frame_size, f_min, count):
-    threshold = BaselineConfig().yin_threshold
     for name, frames, tau_min, tau_max in _case_frames(frame_size, f_min, count):
         d, dn = difference(frames, tau_max)
-        lags, _ = pick_yin(dn, tau_min, threshold)
-        for j, frame in enumerate(frames):
-            d_ref, dn_ref = yin_scan(frame, tau_max)
-            energy = float(np.dot(frame, frame))
-            assert np.max(np.abs(d[j] - d_ref)) <= TOL * energy, name
+        _assert_difference_matches_scan(name, frames, d, dn, tau_min, tau_max,
+                                        range(len(frames)))
 
-            # chosen lag: the oracle's, unless both lags sit at d ~ 0, where
-            # the FFT route cannot order them (it sets d below TOL * energy
-            # to exactly 0)
-            lag, _, _, _ = yin_pick(dn_ref, tau_min, tau_max, threshold)
-            if lags[j] != lag:
-                assert max(d_ref[lags[j]], d_ref[lag]) <= TOL * energy, name
+
+# (frame size, hop, f_min) at which frames hop apart share their hop-long
+# segments: both benchmark bands at the default frame and hop, and a short frame
+SHARED = [(2048, 512, 800.0), (2048, 512, 100.0), (512, 128, 400.0)]
+
+
+def _shared_frames(frame_size, hop, f_min):
+    """Each signal's overlapping frames, with the ones the oracles check: the
+    first, middle and last, or only the middle on the long lag window (the
+    oracles are pure Python). The middle frame of ``quiet_then_loud`` holds
+    the quiet half and then the loud half."""
+    tau_min, tau_max = BaselineConfig(frame_size=frame_size, hop=hop, f_min=f_min).lag_range(SR)
+    for name, samples in SIGNALS.items():
+        frames = frame_signal(np.asarray(samples, dtype=float), frame_size, hop)
+        n = len(frames)
+        checked = [n // 2] if tau_max > 200 else [0, n // 2, n - 1]
+        yield name, frames, tau_min, tau_max, checked
+
+
+@pytest.mark.parametrize("frame_size,hop,f_min", SHARED)
+def test_shared_autocorrelation_matches_acf_scan(frame_size, hop, f_min):
+    for name, frames, tau_min, tau_max, checked in _shared_frames(frame_size, hop, f_min):
+        _assert_acf_matches_scan(name, frames, autocorrelation(frames, tau_max, hop),
+                                 tau_min, tau_max, checked)
+
+
+@pytest.mark.parametrize("frame_size,hop,f_min", SHARED)
+def test_shared_difference_matches_yin_scan(frame_size, hop, f_min):
+    for name, frames, tau_min, tau_max, checked in _shared_frames(frame_size, hop, f_min):
+        d, dn = difference(frames, tau_max, hop)
+        _assert_difference_matches_scan(name, frames, d, dn, tau_min, tau_max, checked)
+
+
+@pytest.mark.parametrize("frame_size,hop,f_min,products", [
+    # the hop divides neither the frame nor the half frame
+    (2048, 500, 800.0, (autocorrelation, difference)),
+    # tau_max 441 > hop: acf's Y_k would reach past the next segment
+    (1024, 256, 100.0, (autocorrelation,)),
+])
+def test_geometries_outside_the_shared_route_take_one_segment(frame_size, hop, f_min,
+                                                              products):
+    tau_max = BaselineConfig(frame_size=frame_size, hop=hop, f_min=f_min).lag_range(SR)[1]
+    for samples in SIGNALS.values():
+        frames = frame_signal(np.asarray(samples, dtype=float), frame_size, hop)
+        for product in products:
+            np.testing.assert_array_equal(product(frames, tau_max, hop),
+                                          product(frames, tau_max))
 
 
 def test_period_100_sine_picks_lag_100():
@@ -196,7 +259,7 @@ def test_acf_picks_match_per_frame_rule(stacks, f_min):
     cfg = BaselineConfig(f_min=f_min)
     tau_min, tau_max = cfg.lag_range(SR)
     frames = frame_signal(stacks.samples, cfg.frame_size, cfg.hop)
-    r = autocorrelation(frames, tau_max)
+    r = autocorrelation(frames, tau_max, cfg.hop)
     r0 = np.einsum("ij,ij->i", frames, frames)
     picks = [acf_pick(r[j, tau_min:] / r0[j], r0[j], tau_min) for j in range(len(frames))]
     _assert_matches(autocorr_pitch(stacks, cfg), picks, cfg)
@@ -207,7 +270,7 @@ def test_yin_picks_match_per_frame_rule(stacks, f_min):
     cfg = BaselineConfig(f_min=f_min)
     tau_min, tau_max = cfg.lag_range(SR)
     frames = frame_signal(stacks.samples, cfg.frame_size, cfg.hop)
-    _, dn = difference(frames, tau_max)
+    _, dn = difference(frames, tau_max, cfg.hop)
     picks = [yin_pick(row, tau_min, tau_max, cfg.yin_threshold) for row in dn]
     _assert_matches(yin_pitch(stacks, cfg), picks, cfg)
 
@@ -232,11 +295,11 @@ def _oracle_picks(method, clip, cfg):
     tau_min, tau_max = cfg.lag_range(SR)
     frames = frame_signal(clip.samples, cfg.frame_size, cfg.hop)
     if method == "acf":
-        r = autocorrelation(frames, tau_max)
+        r = autocorrelation(frames, tau_max, cfg.hop)
         r0 = np.einsum("ij,ij->i", frames, frames)
         return [acf_pick(r[j, tau_min:] / r0[j], r0[j], tau_min) for j in range(len(frames))]
     if method == "yin":
-        _, dn = difference(frames, tau_max)
+        _, dn = difference(frames, tau_max, cfg.hop)
         return [yin_pick(row, tau_min, tau_max, cfg.yin_threshold) for row in dn]
     window = np.hamming(cfg.frame_size)
     return [cepstrum_pick(np.fft.irfft(np.log(np.abs(np.fft.rfft(frame * window)) + 1e-12))
@@ -256,6 +319,37 @@ def test_picks_match_per_frame_rule_across_chunk_edges(stacks, method, f_min):
     picks = _oracle_picks(method, stacks, cfg)
     assert len(picks) > 2 * chunk + 1
     _assert_matches(BASELINES[method](stacks, cfg), picks, cfg)
+
+
+@pytest.mark.parametrize("method", ["acf", "yin"])
+def test_shared_picks_match_per_frame_rule_across_chunk_edges(stacks, method):
+    # the default hop shares segments; four copies of the stacks give more
+    # than two 128-frame chunks at f_min=100
+    clip = AudioClip(samples=np.tile(stacks.samples, 4), sample_rate=SR)
+    cfg = BaselineConfig(f_min=100.0)
+    chunk = _chunk_frames(cfg.lag_range(SR)[1] + 1)
+    picks = _oracle_picks(method, clip, cfg)
+    assert chunk == 128 and len(picks) > 2 * chunk + 1
+    _assert_matches(BASELINES[method](clip, cfg), picks, cfg)
+
+
+@pytest.mark.parametrize("f_min", [800.0, 100.0])
+@pytest.mark.parametrize("method", ["acf", "yin"])
+def test_default_config_transforms_only_shared_segments(monkeypatch, stacks, method, f_min):
+    # every rfft is one of a hop-long segment or of the hop + tau_max samples
+    # starting with it, never a whole frame
+    cfg = BaselineConfig(f_min=f_min)
+    lengths = []
+    rfft = np.fft.rfft
+
+    def spy(a, n=None, *args, **kwargs):
+        lengths.append(n)
+        return rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    BASELINES[method](stacks, cfg)
+    assert lengths
+    assert set(lengths) == {_fft_size(cfg.hop + cfg.lag_range(SR)[1])}
 
 
 def test_picks_match_per_frame_rules_on_rows_with_ties():

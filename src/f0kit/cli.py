@@ -133,13 +133,16 @@ def _destination(base: str | None, input_path: Path, suffix: str,
     return base_path, base_path.parent
 
 
-def _atomic_write(path: Path, write_to_tmp) -> None:
-    # mode 0o666, so the umask sets the output's permissions as for any new file
-    # (mkstemp's 0o600 would reach the output through os.replace)
+def _atomic_write(path: Path, write) -> None:
+    # mode "x" is O_CREAT | O_EXCL at mode 0o666, so the umask sets the output's
+    # permissions as for any new file (mkstemp's 0o600 would reach the output
+    # through os.replace); opened outside the try, so a clash on the temp name
+    # never unlinks a file that is not ours
     tmp_name = str(path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp"))
-    os.close(os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    stream = open(tmp_name, "x", encoding="utf-8", newline="\n")
     try:
-        write_to_tmp(tmp_name)
+        with stream:
+            write(stream)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -160,14 +163,9 @@ def _process_one(input_name: str, method: str, configs: dict[type, object],
         result = track(spec, env, configs[TrackerConfig])
     else:
         result = BASELINES[method](clip, configs[BaselineConfig])
-
-    def write_table(tmp_name: str) -> None:
-        with open(tmp_name, "w", encoding="utf-8", newline="\n") as fh:
-            export_table(result, fh)
-
-    _atomic_write(table_path, write_table)
+    _atomic_write(table_path, lambda stream: export_table(result, stream))
     if plot_path is not None:
-        _atomic_write(plot_path, lambda tmp: render_plot(spec, result, env, tmp))
+        _atomic_write(plot_path, lambda stream: render_plot(spec, result, env, stream))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if verbose:
         print(f"f0: {input_name} -> {table_path}"

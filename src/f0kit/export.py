@@ -32,8 +32,8 @@ _COLOR_ANCHORS = (
 )
 
 
-def export_table(track: PitchTrack, stream: IO[str]) -> int:
-    """Write one tab-separated row per frame; returns the row count.
+def export_table(track: PitchTrack, stream: IO[str]) -> None:
+    """Write one tab-separated row per frame to a text stream.
 
     Times are printed with microsecond precision, frequencies with three
     decimals, and unvoiced frames as the literal token ``nan``.
@@ -43,7 +43,6 @@ def export_table(track: PitchTrack, stream: IO[str]) -> int:
     # PitchTrack holds NaN exactly on unvoiced frames, and NaN formats as "nan"
     rows = map("{:.6f}\t{:.3f}\n".format, track.times.tolist(), track.f0.tolist())
     stream.write("# time_s\tf0_hz\n" + "".join(rows))
-    return track.n_frames
 
 
 def _pool_rows(a: np.ndarray, limit: int) -> np.ndarray:
@@ -149,8 +148,8 @@ def _scale(lo: float, hi: float, px_lo: float, px_hi: float):
 
 
 def render_plot(spectrogram: Spectrogram, track: PitchTrack,
-                envelope: Envelope, path) -> None:
-    """Render three stacked panels to an SVG file.
+                envelope: Envelope, stream: IO[str]) -> None:
+    """Write three stacked panels as SVG text to a text stream.
 
     Top: the spectrogram on a dB color scale with the search band marked
     when the track's config exposes one. Middle: f0 against time, one
@@ -248,7 +247,5 @@ def render_plot(spectrogram: Spectrogram, track: PitchTrack,
         line(x, env_bot, x, env_bot + 5)
         text(x, env_bot + 18, f"{t:g}")
     text((left + width - right) / 2, env_bot + 38, "time (s)")
-
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n</svg>\n")
+    parts.append("</svg>\n")
+    stream.write("\n".join(parts))

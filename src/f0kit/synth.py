@@ -112,7 +112,7 @@ class GroundTruth:
         return None
 
     def f0_at_times(self, times: np.ndarray) -> np.ndarray:
-        """Vectorised lookup; NaN for silence or times outside the clip."""
+        """``f0_at`` at each time, one call per time; NaN for silence or outside the clip."""
         out = np.full(len(times), np.nan)
         for i, t in enumerate(np.asarray(times, dtype=float)):
             f0 = self.f0_at(t)

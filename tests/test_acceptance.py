@@ -247,7 +247,8 @@ def test_criterion_10_format_goldens(tmp_path):
     with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
         export_table(result, fh)
     svg_path = tmp_path / "golden.f0.svg"
-    render_plot(spec, result, env, svg_path)
+    with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
+        render_plot(spec, result, env, fh)
 
     golden_table = GOLDEN_DIR / "tone1khz.f0.txt"
     golden_svg = GOLDEN_DIR / "tone1khz.f0.svg"

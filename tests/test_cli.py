@@ -191,6 +191,34 @@ class TestDiagnostics:
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_failed_plot_keeps_the_old_svg_and_leaves_no_temp_file(
+            self, tone_wav, capsys, monkeypatch, tmp_path):
+        out, plot = tmp_path / "t.txt", tmp_path / "t.svg"
+        plot.write_bytes(b"<svg>old</svg>\n")
+
+        def failing_plot(spectrogram, track, envelope, stream):
+            stream.write("<svg ")
+            raise RuntimeError("plot failed halfway")
+
+        monkeypatch.setattr(cli, "render_plot", failing_plot)
+        code = main(["track", str(tone_wav), "--out", str(out), "--plot", str(plot)])
+        assert code == 1
+        assert "plot failed halfway" in capsys.readouterr().err
+        assert plot.read_bytes() == b"<svg>old</svg>\n"
+        assert len(read_rows(out)) == 85
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_temp_name_collision_leaves_the_other_file_alone(
+            self, tone_wav, capsys, monkeypatch, tmp_path):
+        out = tmp_path / "t.txt"
+        taken = tmp_path / "t.txt.00000000.tmp"
+        taken.write_text("not ours\n")
+        monkeypatch.setattr(cli.os, "urandom", lambda n: bytes(n))
+        code = main(["track", str(tone_wav), "--out", str(out)])
+        assert code == exit_code_for(FileExistsError())
+        assert taken.read_text() == "not ours\n"
+        assert not out.exists()
+
     def test_bad_thread_env(self, tone_wav, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("F0_NUM_THREADS", "zero")
         code = main(["track", str(tone_wav), "--out", str(tmp_path / "t.txt")])

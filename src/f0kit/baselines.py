@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioClip
-from .dsp import _blockwise, _framed
+from .dsp import _blockwise, _framed, _spanwise
 from .errors import ConfigError
 from .tracker import PitchTrack, _refine_at, pick_max
 
@@ -61,8 +61,8 @@ class BaselineConfig:
             raise ConfigError("yin_threshold must lie in (0, 1)")
 
     def lag_range(self, sample_rate: int) -> tuple[int, int]:
-        """Integer lag window [tau_min, tau_max] covering [f_min, f_max]."""
-        tau_min = max(1, math.ceil(sample_rate / self.f_max))
+        """Integer lag window [tau_min, tau_max] covering [f_min, f_max], f_max cut to fs/2."""
+        tau_min = max(2, math.ceil(sample_rate / self.f_max))  # 2 samples: the Nyquist period
         tau_max = math.floor(sample_rate / self.f_min)
         if tau_min > tau_max:
             raise ConfigError(
@@ -218,14 +218,18 @@ def _per_chunk(clip: AudioClip, config: BaselineConfig, decide) -> PitchTrack:
 
     ``decide`` returns each frame's (lag, voiced); only those columns
     outlive a chunk, so memory does not grow with the clip's frames x lags.
+    Spans of whole lag blocks may run on idle pool threads (``dsp._spanwise``);
+    a frame's decision reads that frame alone, so the split changes no output.
     """
     fs = clip.sample_rate
     frames, times = _framed(clip, config.frame_size, config.hop)
     tau_min, tau_max = config.lag_range(fs)
-    lag, voiced = _blockwise(
-        lambda chunk: np.column_stack(decide(chunk, tau_min, tau_max)),
-        frames, 2, _chunk_frames(tau_max + 1)).T
-    f0 = np.where(voiced > 0.0, fs / np.clip(lag, fs / config.f_max, fs / config.f_min), np.nan)
+    lag, voiced = _spanwise(
+        lambda span: _blockwise(lambda chunk: np.column_stack(decide(chunk, tau_min, tau_max)),
+                                span, 2, _chunk_frames(tau_max + 1)),
+        frames, _LAG_BLOCK).T
+    lag = np.clip(lag, max(2.0, fs / config.f_max), fs / config.f_min)  # as lag_range
+    f0 = np.where(voiced > 0.0, fs / lag, np.nan)
     return PitchTrack(times=times, f0=f0, config=config)
 
 

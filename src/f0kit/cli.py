@@ -2,9 +2,9 @@
 
 ``f0 track`` runs the full pipeline per input file: load (as mono), the
 spectrogram and envelope (specmax or --plot only), the pitch method, then
-table (and optional plot) export. Files run on a bounded thread pool and
-every output is written atomically, so a crashed run never leaves a
-truncated table behind. Errors exit with their class's ``exit_code``.
+table (and optional plot) export. Files run on the process's one thread
+pool and every output is written atomically, so a crashed run never leaves
+a truncated table behind. Errors exit with their class's ``exit_code``.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ import functools
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
 from .audio_io import load_wav
 from .baselines import BASELINES, BaselineConfig
-from .dsp import WINDOW_FUNCTIONS, SpectrogramConfig, envelope, spectrogram
+from .dsp import WINDOW_FUNCTIONS, SpectrogramConfig, _submit, _thread_limit, envelope, spectrogram
 from .errors import ConfigError, F0KitError
 from .export import export_table, render_plot
 from .tracker import TrackerConfig, track
@@ -175,22 +174,6 @@ def _process_one(input_name: str, method: str, configs: dict[type, object],
             f"elapsed={elapsed_ms:.1f} ms")
 
 
-def _worker_count(n_inputs: int) -> int:
-    raw = os.environ.get("F0_NUM_THREADS", "")
-    if raw.strip():
-        try:
-            limit = int(raw)
-        except ValueError:
-            raise ConfigError(f"F0_NUM_THREADS must be an integer, got {raw!r}")
-        if limit < 1:
-            raise ConfigError("F0_NUM_THREADS must be at least 1")
-    elif hasattr(os, "sched_getaffinity"):
-        limit = len(os.sched_getaffinity(0))
-    else:
-        limit = os.cpu_count() or 1
-    return max(1, min(limit, n_inputs))
-
-
 def _plan(args) -> list[tuple[str, Path, Path | None]]:
     """(input, table path, plot path) per input; no output may share a path with
     another output or with an input. Directories are made after every check."""
@@ -231,7 +214,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         configs = _resolve(args)
-        workers = _worker_count(len(args.inputs))
+        _thread_limit()  # a bad F0_NUM_THREADS fails here, before any work
         jobs = _plan(args)
     except (ConfigError, OSError) as exc:
         print(f"f0: error: {exc}", file=sys.stderr)
@@ -240,19 +223,16 @@ def main(argv=None) -> int:
         _dump_config(args.method, configs)
 
     status = 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_process_one, name, args.method, configs, table_path,
-                        plot_path, args.verbose)
-            for name, table_path, plot_path in jobs
-        ]
-        for (name, _, _), future in zip(jobs, futures):
-            try:
-                print(future.result())
-            except Exception as exc:
-                print(f"f0: {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
-                if status == 0:
-                    status = exit_code_for(exc)
+    futures = [_submit(_process_one, name, args.method, configs, table_path, plot_path,
+                       args.verbose)
+               for name, table_path, plot_path in jobs]
+    for (name, _, _), future in zip(jobs, futures):
+        try:
+            print(future.result())
+        except Exception as exc:
+            print(f"f0: {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            if status == 0:
+                status = exit_code_for(exc)
     return status
 
 

@@ -15,6 +15,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,10 @@ WINDOW_FUNCTIONS = tuple(_WINDOWS)
 # threshold that rises only once the process frees a larger one. So time block and
 # allocation changes in a pool worker after a warm-up file, as a batch runs.
 _BLOCK = 32
+
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (its thread limit, the pool)
+_pending: set = set()  # its futures; a callback drops each once it is done
+_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,52 @@ def _blockwise(fn, frames: np.ndarray, width: int, block: int = _BLOCK) -> np.nd
     for start in range(0, len(frames), block):
         out[start : start + block] = fn(frames[start : start + block])
     return out
+
+
+def _thread_limit() -> int:
+    """Threads f0kit may keep busy: ``F0_NUM_THREADS``, else the CPUs it may run on."""
+    raw = os.environ.get("F0_NUM_THREADS", "")
+    if not raw.strip():
+        return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise ConfigError(f"F0_NUM_THREADS must be an integer, got {raw!r}")
+    if limit < 1:
+        raise ConfigError("F0_NUM_THREADS must be at least 1")
+    return limit
+
+
+def _submit(fn, *args):
+    """The future of ``fn(*args)`` on the process's one pool, made on first use."""
+    global _pool
+    limit = _thread_limit()
+    with _lock:
+        if _pool is None or _pool[0] != limit:  # a dropped pool's threads end when idle
+            _pool = limit, ThreadPoolExecutor(limit)
+        future = _pool[1].submit(fn, *args)
+        _pending.add(future)
+    future.add_done_callback(_pending.discard)
+    return future
+
+
+def _spanwise(fn, frames: np.ndarray, unit: int) -> np.ndarray:
+    """``fn`` over contiguous spans of whole ``unit``-frame blocks, concatenated.
+
+    One span per thread the pool can spare, 1 + min(idle, limit - 1). The
+    caller runs the first, and any other that no pool thread has started by
+    the time the caller reaches it, so a call from a pool task cannot deadlock.
+    """
+    limit = _thread_limit()
+    blocks = -(-len(frames) // unit)
+    with _lock:  # a task counts from its submit; done comes before its waiter wakes
+        idle = limit - sum(not future.done() for future in list(_pending))
+    n = min(blocks, 1 + min(max(0, idle), limit - 1))
+    spans = [frames[unit * (blocks * k // n) : unit * (blocks * (k + 1) // n)] for k in range(n)]
+    futures = [_submit(fn, span) for span in spans[1:]]
+    return np.concatenate([fn(spans[0])] + [fn(span) if f.cancel() else f.result()
+                                            for span, f in zip(spans[1:], futures)])
 
 
 def spectrogram(clip: AudioClip, config: SpectrogramConfig | None = None) -> Spectrogram:

@@ -76,3 +76,30 @@ def test_any_clip_gives_a_track_or_a_typed_error(method, clip, f_min):
     assert np.all(np.diff(result.times) > 0)
     f0 = result.voiced_f0()
     assert np.all((f0 >= f_min * (1 - 1e-12)) & (f0 <= 8000.0 * (1 + 1e-12)))
+
+
+@st.composite
+def clips_at_any_rate(draw):
+    """Tones up to Nyquist, or noise, at any sample rate from 8 to 48 kHz."""
+    rate = draw(st.integers(8000, 48000))
+    n = draw(st.integers(2048, 12000))
+    if draw(st.booleans()):
+        freq = draw(st.floats(0.05, 0.5)) * rate
+        phase = draw(st.floats(0.0, 2 * np.pi))
+        samples = 0.8 * np.sin(2 * np.pi * freq * np.arange(n) / rate + phase)
+    else:
+        samples = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-0.5, 0.5, n)
+    return AudioClip(samples=samples, sample_rate=rate)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@settings(max_examples=60, deadline=None)
+@given(clip=clips_at_any_rate(), f_min=st.sampled_from([100.0, 800.0]))
+def test_no_pitch_above_nyquist(method, clip, f_min):
+    # the default f_max of 8 kHz lies above Nyquist for every rate under 16 kHz
+    run, _ = METHODS[method]
+    try:
+        result = run(clip, f_min)
+    except F0KitError:
+        return
+    assert np.all(result.voiced_f0() <= clip.sample_rate / 2)

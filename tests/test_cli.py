@@ -440,23 +440,6 @@ class TestGuards:
                      "--out", str(tmp_path / "d")])
         assert code == 2
 
-    def test_worker_count_follows_cpu_affinity(self, monkeypatch):
-        monkeypatch.delenv("F0_NUM_THREADS", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert cli._worker_count(8) == 1
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        assert cli._worker_count(8) == 3
-        assert cli._worker_count(2) == 2
-
-    def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("F0_NUM_THREADS", raising=False)
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert cli._worker_count(8) == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert cli._worker_count(8) == 1
-
     @pytest.mark.parametrize("method", ["acf", "yin", "cepstrum"])
     def test_baselines_skip_the_spectrogram(self, tone_wav, tmp_path, capsys,
                                             monkeypatch, method):

@@ -30,6 +30,8 @@ from .dsp import _blockwise, _framed, _spanwise
 from .errors import ConfigError
 from .tracker import PitchTrack, _refine_at, pick_max
 
+_MIN_LAG = 2  # samples: the Nyquist period, the shortest a lag detector reports
+
 
 @dataclass(frozen=True)
 class BaselineConfig:
@@ -62,7 +64,7 @@ class BaselineConfig:
 
     def lag_range(self, sample_rate: int) -> tuple[int, int]:
         """Integer lag window [tau_min, tau_max] covering [f_min, f_max], f_max cut to fs/2."""
-        tau_min = max(2, math.ceil(sample_rate / self.f_max))  # 2 samples: the Nyquist period
+        tau_min = max(_MIN_LAG, math.ceil(sample_rate / self.f_max))
         tau_max = math.floor(sample_rate / self.f_min)
         if tau_min > tau_max:
             raise ConfigError(
@@ -124,17 +126,17 @@ def _frame_sums(rows: np.ndarray, parts: int, n: int) -> np.ndarray:
     return sum((rows[k : k + n] for k in range(1, parts)), rows[:n])
 
 
-def autocorrelation(frames: np.ndarray, tau_max: int, hop: int | None = None) -> np.ndarray:
+def autocorrelation(frames: np.ndarray, tau_max: int, hop: int) -> np.ndarray:
     """r(tau) = sum_t x[t] x[t+tau] for tau = 0..tau_max, per frame.
 
     When ``hop`` (the frames' spacing) divides the frame and tau_max <= hop,
     each hop-long segment S_k and the hop + tau_max samples Y_k starting with
     it are transformed once, and a frame's spectrum is the sum of
     conj(S_k) Y_k over its segments but the last, plus |S_k|^2 for the last.
-    Otherwise (or with ``hop=None``) each frame is one segment.
+    Otherwise (e.g. ``hop`` = frame length) each frame is one segment.
     """
     n = frames.shape[1]
-    parts = n // hop if hop and n % hop == 0 and tau_max <= hop else 1
+    parts = n // hop if n % hop == 0 and tau_max <= hop else 1
     seg = n // parts
     size = _fft_size(seg + tau_max)  # no circular wrap-around
 
@@ -150,8 +152,7 @@ def autocorrelation(frames: np.ndarray, tau_max: int, hop: int | None = None) ->
     return _blockwise(lag_products, frames, tau_max + 1, _LAG_BLOCK)
 
 
-def difference(frames: np.ndarray, tau_max: int,
-               hop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def difference(frames: np.ndarray, tau_max: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
     """YIN difference d and its cumulative-mean normalization d' (d'(0) = 1).
 
     d(tau) = sum_{t<w} (x[t] - x[t+tau])^2 over the first half frame, for
@@ -159,11 +160,11 @@ def difference(frames: np.ndarray, tau_max: int,
     half frame's segments, the correlation of each segment S_k with the
     seg + tau_max samples Y_k that start with it. Segments are ``hop`` long,
     and shared between frames, when ``hop`` (the frames' spacing) divides w;
-    otherwise (or with ``hop=None``) the half frame is one segment. E_tau
+    otherwise (e.g. ``hop`` = frame length) the half frame is one segment. E_tau
     runs from E_0 by one cumulative sum of tau_max terms per frame.
     """
     w = frames.shape[1] // 2
-    parts = w // hop if hop and w % hop == 0 else 1
+    parts = w // hop if w % hop == 0 else 1
     seg = w // parts
     width = seg + tau_max
     size = _fft_size(width)
@@ -228,7 +229,7 @@ def _per_chunk(clip: AudioClip, config: BaselineConfig, decide) -> PitchTrack:
         lambda span: _blockwise(lambda chunk: np.column_stack(decide(chunk, tau_min, tau_max)),
                                 span, 2, _chunk_frames(tau_max + 1)),
         frames, _LAG_BLOCK).T
-    lag = np.clip(lag, max(2.0, fs / config.f_max), fs / config.f_min)  # as lag_range
+    lag = np.clip(lag, max(_MIN_LAG, fs / config.f_max), fs / config.f_min)
     f0 = np.where(voiced > 0.0, fs / lag, np.nan)
     return PitchTrack(times=times, f0=f0, config=config)
 

@@ -71,9 +71,6 @@ class SpectrogramConfig:
     def hop(self) -> int:
         return self.window_size - self.overlap
 
-    def window_array(self) -> np.ndarray:
-        return _WINDOWS[self.window_function](self.window_size)
-
 
 @dataclass(frozen=True)
 class Spectrogram:
@@ -111,24 +108,16 @@ class Envelope:
         return self.values.shape[0]
 
 
-def frame_signal(samples: np.ndarray, window_size: int, hop: int) -> np.ndarray:
-    """View of ``samples`` as overlapping rows of length ``window_size``.
-
-    Returns shape ``(n_frames, window_size)`` with
-    ``n_frames = (len(samples) - window_size) // hop + 1``; the tail that
-    does not fill a frame is dropped rather than zero-padded, avoiding a
-    biased low-energy trailing frame.
-    """
-    if len(samples) < window_size:
-        raise ClipTooShortError(
-            f"clip has {len(samples)} samples, need at least {window_size}"
-        )
-    return sliding_window_view(samples, window_size)[::hop]
-
-
 def _framed(clip: AudioClip, size: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Frames of a clip (see :func:`frame_signal`) and their centre times in seconds."""
-    frames = frame_signal(clip.samples, size, hop)
+    """A clip's frames, a ``(n_frames, size)`` view, and their centre times in seconds.
+
+    ``n_frames = (len(samples) - size) // hop + 1``; the tail that does not
+    fill a frame is dropped rather than zero-padded, avoiding a biased
+    low-energy trailing frame.
+    """
+    if len(clip.samples) < size:
+        raise ClipTooShortError(f"clip has {len(clip.samples)} samples, need at least {size}")
+    frames = sliding_window_view(clip.samples, size)[::hop]
     return frames, (np.arange(len(frames)) * hop + size / 2) / clip.sample_rate
 
 
@@ -198,7 +187,7 @@ def spectrogram(clip: AudioClip, config: SpectrogramConfig | None = None) -> Spe
     """
     config = config or SpectrogramConfig()
     frames, times = _framed(clip, config.window_size, config.hop)
-    window = config.window_array()
+    window = _WINDOWS[config.window_function](config.window_size)
     mags = _blockwise(lambda block: np.abs(np.fft.rfft(block * window, axis=1)),
                       frames, config.window_size // 2 + 1).T
     return Spectrogram(

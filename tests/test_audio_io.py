@@ -19,6 +19,7 @@ from f0kit import (
     write_wav,
 )
 from f0kit import audio_io, synth
+from f0kit.cli import main
 
 
 def build_wav(frames: np.ndarray, sample_rate=44100, format_tag=1,
@@ -130,6 +131,20 @@ def test_bad_magic_rejected(tmp_path):
         load_wav(path)
 
 
+@pytest.mark.parametrize("missing", [b"fmt ", b"data"])
+def test_missing_fmt_or_data_chunk_rejected(tmp_path, capsys, missing):
+    # a well-formed RIFF/WAVE file that lacks one of the two chunks a clip needs
+    chunks = {b"fmt ": struct.pack("<HHIIHH", 1, 1, 44100, 88200, 2, 16), b"data": bytes(200)}
+    body = b"WAVE" + b"".join(name + struct.pack("<I", len(chunk)) + chunk
+                              for name, chunk in chunks.items() if name != missing)
+    path = tmp_path / "a.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    with pytest.raises(MalformedHeaderError, match=f"no {missing.decode().strip()} chunk"):
+        load_wav(path)
+    assert main(["track", str(path), "--out", str(tmp_path / "t.txt")]) == 3
+    assert not (tmp_path / "t.txt").exists()
+
+
 def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "a.wav"
     good = build_wav(np.zeros(100, dtype="<i2"))
@@ -157,6 +172,11 @@ def test_zero_frames_rejected(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_wav(tmp_path / "nope.wav")
+
+
+def test_clip_rejects_a_sample_rate_of_zero():
+    with pytest.raises(ValueError, match="sample_rate must be positive"):
+        AudioClip(samples=np.zeros(10), sample_rate=0)
 
 
 def test_clip_rejects_overrange():

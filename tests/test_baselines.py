@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from f0kit import (
     AudioClip,
@@ -14,7 +15,6 @@ from f0kit import (
     synthesize,
     yin_pitch,
 )
-from f0kit.dsp import frame_signal
 from conftest import random_clip
 from oracles import acf_scan, cepstrum_scan, yin_scan
 
@@ -41,6 +41,11 @@ class TestConfig:
 
     def test_lag_range_default(self):
         assert BaselineConfig().lag_range(SR) == (math.ceil(SR / 8000), SR // 800)
+
+    def test_band_between_two_lags_rejected(self):
+        # at 8 kHz, 2100-2600 Hz lies between lags 3 and 4: tau_min 4 > tau_max 3
+        with pytest.raises(ConfigError, match="spans no integer lag at 8000 Hz"):
+            BaselineConfig(f_min=2100.0, f_max=2600.0).lag_range(8000)
 
     def test_frame_must_cover_two_periods(self):
         with pytest.raises(ConfigError):
@@ -139,7 +144,7 @@ class TestCepstrum:
         clip, _ = synthesize(SynthSpec.harmonic_stack(500.0, (1.0,) * 6), SR)
         cfg = WIDE
         tau_min, tau_max = cfg.lag_range(SR)
-        frame = frame_signal(clip.samples, cfg.frame_size, cfg.hop)[10]
+        frame = sliding_window_view(clip.samples, cfg.frame_size)[::cfg.hop][10]
         oracle = cepstrum_scan(frame, np.hamming(cfg.frame_size),
                                range(tau_min, tau_max + 1))
         q_star = max(oracle, key=oracle.get)

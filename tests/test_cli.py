@@ -169,6 +169,16 @@ class TestDiagnostics:
                      "--out", str(tmp_path / "t.txt")])
         assert code == exit_code_for(EmptyBandError(""))
 
+    def test_band_between_two_lags_exit_code(self, tmp_path, capsys):
+        clip, _ = synthesize(SynthSpec.tone(1000.0, duration=0.5), 8000)
+        path = tmp_path / "tone8k.wav"
+        write_wav(path, clip)
+        code = main(["track", str(path), "--method", "yin", "--fmin", "2100", "--fmax", "2600",
+                     "--out", str(tmp_path / "t.txt")])
+        assert code == 2 == exit_code_for(ConfigError(""))
+        assert "spans no integer lag" in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
+
     def test_too_short_clip_exit_code(self, tmp_path, capsys):
         clip, _ = synthesize(SynthSpec.tone(1000.0, duration=0.01), 44100)
         path = tmp_path / "short.wav"

@@ -12,6 +12,7 @@ too.
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from f0kit import (
     AudioClip,
@@ -32,7 +33,6 @@ from f0kit.baselines import (
     pick_max,
     pick_yin,
 )
-from f0kit.dsp import frame_signal
 from conftest import BLOCK_EDGE_FRAMES
 from oracles import (
     acf_pick,
@@ -79,7 +79,7 @@ def _case_frames(frame_size, f_min, count):
     cfg = BaselineConfig(frame_size=frame_size, f_min=f_min)
     tau_min, tau_max = cfg.lag_range(SR)
     for name, samples in SIGNALS.items():
-        frames = frame_signal(np.asarray(samples, dtype=float), frame_size, frame_size)
+        frames = sliding_window_view(np.asarray(samples, dtype=float), frame_size)[::frame_size]
         yield name, frames[:count], tau_min, tau_max
 
 
@@ -119,14 +119,14 @@ def _assert_difference_matches_scan(name, frames, d, dn, tau_min, tau_max, check
 @pytest.mark.parametrize("frame_size,f_min,count", CASES)
 def test_autocorrelation_matches_acf_scan(frame_size, f_min, count):
     for name, frames, tau_min, tau_max in _case_frames(frame_size, f_min, count):
-        _assert_acf_matches_scan(name, frames, autocorrelation(frames, tau_max),
+        _assert_acf_matches_scan(name, frames, autocorrelation(frames, tau_max, frame_size),
                                  tau_min, tau_max, range(len(frames)))
 
 
 @pytest.mark.parametrize("frame_size,f_min,count", CASES)
 def test_difference_matches_yin_scan(frame_size, f_min, count):
     for name, frames, tau_min, tau_max in _case_frames(frame_size, f_min, count):
-        d, dn = difference(frames, tau_max)
+        d, dn = difference(frames, tau_max, frame_size)
         _assert_difference_matches_scan(name, frames, d, dn, tau_min, tau_max,
                                         range(len(frames)))
 
@@ -143,7 +143,7 @@ def _shared_frames(frame_size, hop, f_min):
     the quiet half and then the loud half."""
     tau_min, tau_max = BaselineConfig(frame_size=frame_size, hop=hop, f_min=f_min).lag_range(SR)
     for name, samples in SIGNALS.items():
-        frames = frame_signal(np.asarray(samples, dtype=float), frame_size, hop)
+        frames = sliding_window_view(np.asarray(samples, dtype=float), frame_size)[::hop]
         n = len(frames)
         checked = [n // 2] if tau_max > 200 else [0, n // 2, n - 1]
         yield name, frames, tau_min, tau_max, checked
@@ -173,35 +173,41 @@ def test_geometries_outside_the_shared_route_take_one_segment(frame_size, hop, f
                                                               products):
     tau_max = BaselineConfig(frame_size=frame_size, hop=hop, f_min=f_min).lag_range(SR)[1]
     for samples in SIGNALS.values():
-        frames = frame_signal(np.asarray(samples, dtype=float), frame_size, hop)
+        frames = sliding_window_view(np.asarray(samples, dtype=float), frame_size)[::hop]
         for product in products:
             np.testing.assert_array_equal(product(frames, tau_max, hop),
-                                          product(frames, tau_max))
+                                          product(frames, tau_max, frame_size))
 
 
 def test_period_100_sine_picks_lag_100():
-    frames = frame_signal(SIGNALS["sine_period_100"], 2048, 1024)
+    frames = sliding_window_view(SIGNALS["sine_period_100"], 2048)[::1024]
     cfg = BaselineConfig(f_min=400.0)
     tau_min, tau_max = cfg.lag_range(SR)
-    d, dn = difference(frames, tau_max)
+    d, dn = difference(frames, tau_max, 2048)
     assert np.all(d[:, 100] == 0.0)  # ~1e-28 in the time domain
     lags, voiced = pick_yin(dn, tau_min, cfg.yin_threshold)
     assert voiced.all() and np.all(lags == 100)
-    r = autocorrelation(frames, tau_max)
+    r = autocorrelation(frames, tau_max, 2048)
     got, _ = pick_max(r[:, tau_min:] / r[:, :1])
     assert np.all(tau_min + got == 100)
 
 
-def test_blocks_do_not_change_lag_products():
-    # more frames than one FFT block: each row equals its own one-frame call
+@pytest.mark.parametrize("frame_size,hop,tau_max", [
+    (512, 512, 110),  # one segment per frame
+    (512, 64, 110),  # yin shares 4 segments; acf keeps one, as tau_max > hop
+    (2048, 512, 441),  # both share
+])
+def test_blocks_do_not_change_lag_products(frame_size, hop, tau_max):
+    # more frames than one FFT block: each row equals its own one-frame call,
+    # which is what keeps tracks byte-identical across thread counts
     rng = np.random.default_rng(7)
-    frames = frame_signal(rng.uniform(-1, 1, 150 * 64 + 512), 512, 64)
+    frames = sliding_window_view(rng.uniform(-1, 1, 150 * hop + frame_size), frame_size)[::hop]
     assert len(frames) > 64
-    r = autocorrelation(frames, 110)
-    d, _ = difference(frames, 110)
+    r = autocorrelation(frames, tau_max, hop)
+    d, _ = difference(frames, tau_max, hop)
     for j in (0, 63, 64, 65, len(frames) - 1):
-        assert np.array_equal(r[j], autocorrelation(frames[j : j + 1], 110)[0])
-        assert np.array_equal(d[j], difference(frames[j : j + 1], 110)[0][0])
+        assert np.array_equal(r[j], autocorrelation(frames[j : j + 1], tau_max, hop)[0])
+        assert np.array_equal(d[j], difference(frames[j : j + 1], tau_max, hop)[0][0])
 
 
 @pytest.mark.parametrize("n_frames", BLOCK_EDGE_FRAMES)
@@ -219,7 +225,7 @@ def test_blocked_cepstrum_matches_whole_clip(monkeypatch, n_frames):
 
     monkeypatch.setattr(baselines, "pick_max", spy)
     cepstrum_pitch(clip, cfg)
-    frames = frame_signal(clip.samples, 512, 128)
+    frames = sliding_window_view(clip.samples, 512)[::128]
     assert len(frames) == n_frames
     whole = whole_clip_cepstrum_region(frames, tau_min, tau_max)
     # one region per chunk of frames, together the whole clip's; spans of chunks
@@ -262,7 +268,7 @@ def _assert_matches(result, picks, cfg):
 def test_acf_picks_match_per_frame_rule(stacks, f_min):
     cfg = BaselineConfig(f_min=f_min)
     tau_min, tau_max = cfg.lag_range(SR)
-    frames = frame_signal(stacks.samples, cfg.frame_size, cfg.hop)
+    frames = sliding_window_view(stacks.samples, cfg.frame_size)[::cfg.hop]
     r = autocorrelation(frames, tau_max, cfg.hop)
     r0 = np.einsum("ij,ij->i", frames, frames)
     picks = [acf_pick(r[j, tau_min:] / r0[j], r0[j], tau_min) for j in range(len(frames))]
@@ -273,7 +279,7 @@ def test_acf_picks_match_per_frame_rule(stacks, f_min):
 def test_yin_picks_match_per_frame_rule(stacks, f_min):
     cfg = BaselineConfig(f_min=f_min)
     tau_min, tau_max = cfg.lag_range(SR)
-    frames = frame_signal(stacks.samples, cfg.frame_size, cfg.hop)
+    frames = sliding_window_view(stacks.samples, cfg.frame_size)[::cfg.hop]
     _, dn = difference(frames, tau_max, cfg.hop)
     picks = [yin_pick(row, tau_min, tau_max, cfg.yin_threshold) for row in dn]
     _assert_matches(yin_pitch(stacks, cfg), picks, cfg)
@@ -283,7 +289,7 @@ def test_yin_picks_match_per_frame_rule(stacks, f_min):
 def test_cepstrum_picks_match_per_frame_rule(stacks, f_min):
     cfg = BaselineConfig(f_min=f_min)
     tau_min, tau_max = cfg.lag_range(SR)
-    frames = frame_signal(stacks.samples, cfg.frame_size, cfg.hop)
+    frames = sliding_window_view(stacks.samples, cfg.frame_size)[::cfg.hop]
     # the detector's cepstra, recomputed with the same calls
     spectra = np.abs(np.fft.rfft(frames * np.hamming(cfg.frame_size), axis=1))
     cepstra = np.fft.irfft(np.log(spectra + 1e-12), axis=1)
@@ -297,7 +303,7 @@ def _oracle_picks(method, clip, cfg):
     but with the cepstra computed one frame at a time, for clips of thousands
     of frames."""
     tau_min, tau_max = cfg.lag_range(SR)
-    frames = frame_signal(clip.samples, cfg.frame_size, cfg.hop)
+    frames = sliding_window_view(clip.samples, cfg.frame_size)[::cfg.hop]
     if method == "acf":
         r = autocorrelation(frames, tau_max, cfg.hop)
         r0 = np.einsum("ij,ij->i", frames, frames)

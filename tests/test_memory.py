@@ -35,6 +35,9 @@ SECONDS = 60.0
 # baselines read acf 0.069 and 0.094, yin 0.064-0.075 and 0.090, cepstrum
 # 0.070 and 0.070. With whole-clip decisions and a padded pooling copy they
 # read 0.08 and 0.61, 0.16 and 1.26, 0.13 and 0.90; render_plot 0.59.
+# On three threads those fixed few MB reach 0.087-0.138 MB per audio second
+# of this one clip, so there the bound holds the peak's growth from the
+# clip's first 30 s to all 60 s instead: at most 0.023 (0.039 on one thread).
 BOUND_MB_PER_S = 0.1
 
 
@@ -44,14 +47,18 @@ def song():
     return AudioClip(samples=clip.samples / 32768.0, sample_rate=SAMPLE_RATE)
 
 
-def peak_mb_per_s(call) -> float:
+def peak_mb(call) -> float:
     tracemalloc.start()
     try:
         call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / 1e6 / SECONDS
+    return peak / 1e6
+
+
+def peak_mb_per_s(call) -> float:
+    return peak_mb(call) / SECONDS
 
 
 @pytest.mark.parametrize("method", sorted(BASELINES))
@@ -62,6 +69,19 @@ def test_baseline_peak_does_not_grow_with_the_clip(song, monkeypatch, method, f_
     monkeypatch.setenv("F0_NUM_THREADS", threads)
     config = BaselineConfig(f_min=f_min)
     assert peak_mb_per_s(lambda: BASELINES[method](song, config)) <= BOUND_MB_PER_S
+
+
+@pytest.mark.parametrize("method", sorted(BASELINES))
+@pytest.mark.parametrize("f_min", [800.0, 100.0])
+def test_baseline_peak_growth_at_three_threads(song, monkeypatch, method, f_min):
+    # what each span's thread holds is fixed, so the peak's growth from the
+    # clip's first half to the whole clip is what must stay under the bound
+    monkeypatch.setenv("F0_NUM_THREADS", "3")
+    config = BaselineConfig(f_min=f_min)
+    half = AudioClip(samples=song.samples[: len(song.samples) // 2], sample_rate=SAMPLE_RATE)
+    whole_mb = peak_mb(lambda: BASELINES[method](song, config))
+    half_mb = peak_mb(lambda: BASELINES[method](half, config))
+    assert (whole_mb - half_mb) / (SECONDS / 2) <= BOUND_MB_PER_S
 
 
 def test_plot_peak_does_not_grow_with_the_clip(song, tmp_path):

@@ -1,0 +1,111 @@
+"""One sha256 over every output of ``f0 track`` on seeded song and lowband clips.
+
+Two source trees that print the same digest wrote the same bytes: every
+table, every SVG, every summary line (with its ``elapsed=`` time masked) and
+every exit code. Use it to show that a refactor changed no output::
+
+    python tools/output_digest.py path/to/parent/src
+    python tools/output_digest.py src
+
+It writes ``--clips`` song and lowband clips of 6 s from
+``perfbench/songgen.py`` (imported read-only), then calls
+``f0kit.cli.main``, imported from ``SRC_DIR``, once per clip and run. A run
+is one flag set (specmax with and without ``--refine``, acf, yin, cepstrum,
+each with ``--plot``) at one band (the default, and ``--fmin 100``) under
+one ``F0_NUM_THREADS`` value (1 and 2). One-input calls are used, so at 2
+threads the baselines split their frames over the idle thread too.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
+from songgen import generate  # noqa: E402
+
+FLAG_SETS = {
+    "specmax": ["--method", "specmax"],
+    "specmax-refine": ["--method", "specmax", "--refine"],
+    "acf": ["--method", "acf"],
+    "yin": ["--method", "yin"],
+    "cepstrum": ["--method", "cepstrum"],
+}
+BANDS = ([], ["--fmin", "100"])
+THREADS = ("1", "2")
+SECONDS = 6.0
+
+
+def import_cli(src: Path):
+    """``f0kit.cli`` from ``src``, never from an installed copy."""
+    sys.path.insert(0, str(src))
+    import f0kit.cli
+
+    if Path(f0kit.cli.__file__).resolve().parent != (src / "f0kit").resolve():
+        raise SystemExit(f"output_digest: imported f0kit from {f0kit.cli.__file__}, not {src}")
+    return f0kit.cli
+
+
+def digest(cli, names: list[str], sets: list[str]) -> tuple[str, int]:
+    """The sha256 over every run of ``names`` (WAVs in the working directory),
+    and the run count."""
+    sha = hashlib.sha256()
+    runs = 0
+    for set_name in sets:
+        for band in BANDS:
+            for threads in THREADS:
+                os.environ["F0_NUM_THREADS"] = threads
+                for name in names:
+                    argv = ["track", name, *FLAG_SETS[set_name], *band,
+                            "--out", "run.f0.txt", "--plot", "run.f0.svg"]
+                    stdout = io.StringIO()
+                    with contextlib.redirect_stdout(stdout):
+                        code = cli.main(argv)
+                    summary = re.sub(r"elapsed=[0-9.]+ ms", "elapsed=* ms", stdout.getvalue())
+                    sha.update(f"{' '.join(argv)} threads={threads} exit={code}\n".encode())
+                    sha.update(summary.encode())
+                    for output in (Path("run.f0.txt"), Path("run.f0.svg")):
+                        sha.update(output.read_bytes() if output.exists() else b"<missing>")
+                        output.unlink(missing_ok=True)
+                    runs += 1
+    return sha.hexdigest(), runs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", type=Path, metavar="SRC_DIR",
+                        help="the directory holding the f0kit package to run")
+    parser.add_argument("--seed", type=int, default=1717)
+    parser.add_argument("--clips", type=int, default=2, help="clips per kind (default 2)")
+    parser.add_argument("--kinds", nargs="+", choices=("song", "lowband"),
+                        default=["song", "lowband"])
+    parser.add_argument("--sets", nargs="+", choices=tuple(FLAG_SETS), default=list(FLAG_SETS),
+                        help="flag sets to run (default: all)")
+    args = parser.parse_args(argv)
+    cli = import_cli(args.src.resolve())
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)  # the summary lines name the inputs as given
+        try:
+            names = []
+            for kind in args.kinds:
+                for clip in generate(kind, args.seed, args.clips, SECONDS):
+                    clip.write(Path(f"{clip.name}.wav"))
+                    names.append(f"{clip.name}.wav")
+            hexdigest, runs = digest(cli, names, args.sets)
+        finally:
+            os.chdir(cwd)
+    print(f"{hexdigest}  {runs} runs, {len(names)} clips, seed {args.seed}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

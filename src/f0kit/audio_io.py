@@ -47,14 +47,13 @@ def _freeze(obj, *names: str) -> None:
 class AudioClip:
     """Decoded mono audio held as float64 amplitudes in [-1, 1].
 
-    ``samples`` is 1-D with shape ``(n_frames,)``; :func:`load_wav` averages
-    a multichannel file down to it. Instances are immutable and safe to share
-    across threads. The array passed in is copied, so that a later write by
-    the caller cannot bypass the checks, unless it is a read-only float64
-    array that owns its data (``base is None``), as ``load_wav`` and
-    ``synthesize`` hand over. Such an array has no base to write through,
-    but a writable view taken of it before it was made read-only must not
-    be written either.
+    ``samples`` is 1-D; :func:`load_wav` averages a multichannel file down
+    to it. Instances are immutable and safe to share across threads. The
+    array passed in is copied, so that a later write by the caller cannot
+    bypass the checks, unless it is a read-only float64 array that owns its
+    data (``base is None``), as ``load_wav`` and ``synthesize`` hand over.
+    Such an array has no base to write through, but a writable view taken
+    of it before it was made read-only must not be written either.
     """
 
     samples: np.ndarray
@@ -77,21 +76,6 @@ class AudioClip:
             raise NonFiniteSamplesError("samples must be finite (found NaN or inf)")
         if peak > 1.0:
             raise ValueError("samples must lie in [-1.0, 1.0]")
-
-    @property
-    def n_frames(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def duration(self) -> float:
-        """Clip length in seconds."""
-        return self.n_frames / self.sample_rate
-
-
-def _read_exact(buf: memoryview, offset: int, size: int, what: str) -> memoryview:
-    if offset + size > len(buf):
-        raise MalformedHeaderError(f"truncated {what} (need {size} bytes at offset {offset})")
-    return buf[offset : offset + size]
 
 
 def load_wav(path: str | Path) -> AudioClip:
@@ -123,7 +107,10 @@ def load_wav(path: str | Path) -> AudioClip:
     while pos + 8 <= len(raw):
         chunk_id = bytes(raw[pos : pos + 4])
         (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = _read_exact(raw, pos + 8, chunk_size, f"'{chunk_id.decode('latin-1')}' chunk")
+        body = raw[pos + 8 : pos + 8 + chunk_size]
+        if len(body) < chunk_size:
+            raise MalformedHeaderError(f"truncated '{chunk_id.decode('latin-1')}' chunk "
+                                       f"(need {chunk_size} bytes at offset {pos + 8})")
         if chunk_id == b"fmt ":
             if chunk_size < 16:
                 raise MalformedHeaderError(f"{path}: fmt chunk too small ({chunk_size} bytes)")

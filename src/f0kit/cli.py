@@ -41,7 +41,9 @@ def exit_code_for(exc: BaseException) -> int:
     return 13 if isinstance(exc, OSError) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use: building costs about 7x the parse."""
     parser = argparse.ArgumentParser(
         prog="f0", description="Fundamental-frequency estimation for tonal sounds."
     )
@@ -203,15 +205,8 @@ def _plan(args) -> list[tuple[str, Path, Path | None]]:
     return jobs
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every ``main`` call reuses: building one costs about 7x
-    the parse. ``build_parser`` still returns a fresh one."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         configs = _resolve(args)
         _thread_limit()  # a bad F0_NUM_THREADS fails here, before any work

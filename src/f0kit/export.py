@@ -181,11 +181,10 @@ def render_plot(spectrogram: Spectrogram, track: PitchTrack,
         f'<rect width="{width:g}" height="{height:g}" fill="#ffffff"/>',
     ]
 
-    def text(x, y, label, anchor="middle", size=12, extra=""):
+    def text(x, y, label, anchor="middle", size=12):
         parts.append(
             f'<text x="{x:.2f}" y="{y:.2f}" font-family="sans-serif" '
-            f'font-size="{size:g}" text-anchor="{anchor}" fill="#222222"'
-            f"{extra}>{label}</text>"
+            f'font-size="{size:g}" text-anchor="{anchor}" fill="#222222">{label}</text>'
         )
 
     def line(x1, y1, x2, y2, color="#222222", extra=""):

@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from .audio_io import _freeze
-from .dsp import Envelope, Spectrogram
+from .dsp import Envelope, Spectrogram, _blockwise
 from .errors import ConfigError, EmptyBandError, FrameGridMismatchError
 
 
@@ -136,9 +136,11 @@ def track(spec: Spectrogram, env: Envelope, config: TrackerConfig | None = None)
         )
 
     rows = spec.magnitudes.T  # frame x bin
-    # the bins ascend, so the band is one slice; first maximum -> lowest frequency
-    rel_bins, peak_mags = pick_max(rows[:, band[0] : band[-1] + 1])
-    peak_bins = band[0] + rel_bins
+    # the bins ascend, so the band is one slice; first maximum -> lowest frequency.
+    # argmax copies a strided slice, so it sees one block of frames at a time
+    rel_bins, peak_mags = _blockwise(lambda block: np.column_stack(pick_max(block)),
+                                     rows[:, band[0] : band[-1] + 1], 2).T
+    peak_bins = band[0] + rel_bins.astype(int)
 
     max_env = env.values.max()
     global_max = spec.magnitudes.max()

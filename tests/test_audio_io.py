@@ -45,7 +45,7 @@ def test_load_pcm16_header_fields(tmp_path):
     clip = load_wav(path)
     assert clip.sample_rate == 44100
     assert clip.samples.ndim == 1
-    assert clip.duration == pytest.approx(1.0)
+    assert len(clip.samples) == 44100
 
 
 def test_pcm16_scaling_is_exact(tmp_path):
@@ -349,7 +349,7 @@ def test_load_wav_arbitrary_chunks_decode_or_raise_typed(tmp_path_factory, fmt, 
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
     clip = load_or_typed_error(path)
     if clip is not None:
-        assert clip.n_frames >= 1 and clip.sample_rate >= 1
+        assert len(clip.samples) >= 1 and clip.sample_rate >= 1
         assert np.all(np.abs(clip.samples) <= 1.0)
 
 
@@ -378,7 +378,7 @@ def test_extensible_decodes_as_its_plain_subformat(tmp_path, sub_tag, bits, dtyp
     plain.write_bytes(build_wav(frames, format_tag=sub_tag, bits=bits))
     extensible.write_bytes(build_extensible_wav(frames, sub_tag, bits))
     clip = load_wav(extensible)
-    assert clip.sample_rate == 44100 and clip.duration == 0.5
+    assert clip.sample_rate == 44100 and len(clip.samples) == 22050
     assert np.array_equal(clip.samples, load_wav(plain).samples)
 
 

@@ -218,6 +218,24 @@ class TestDiagnostics:
         assert len(read_rows(out)) == 85
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_failed_cleanup_still_reports_the_plot_error(
+            self, tone_wav, capsys, monkeypatch, tmp_path):
+        def failing_plot(spectrogram, track, envelope, stream):
+            stream.write("<svg ")
+            raise RuntimeError("plot failed halfway")
+
+        def failing_unlink(path):
+            raise PermissionError(f"cannot remove {path}")
+
+        monkeypatch.setattr(cli, "render_plot", failing_plot)
+        monkeypatch.setattr(cli.os, "unlink", failing_unlink)
+        code = main(["track", str(tone_wav), "--out", str(tmp_path / "t.txt"),
+                     "--plot", str(tmp_path / "t.svg")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "RuntimeError: plot failed halfway" in err
+        assert "PermissionError" not in err
+
     def test_temp_name_collision_leaves_the_other_file_alone(
             self, tone_wav, capsys, monkeypatch, tmp_path):
         out = tmp_path / "t.txt"
@@ -379,19 +397,14 @@ def test_parser_rejects_unknown_method():
         build_parser().parse_args(["track", "x.wav", "--method", "praat"])
 
 
-def test_main_reuses_one_parser(monkeypatch, capsys):
-    built = []
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
-    cli._parser.cache_clear()
-    try:
-        for _ in range(3):
-            with pytest.raises(SystemExit):
-                main(["track", "x.wav", "--method", "praat"])
-        assert len(built) == 1
-    finally:
-        cli._parser.cache_clear()
+def test_main_reuses_one_parser(capsys):
+    hits = build_parser.cache_info().hits
+    for _ in range(3):
+        with pytest.raises(SystemExit):
+            main(["track", "x.wav", "--method", "praat"])
+    assert build_parser.cache_info().hits >= hits + 3
     assert "invalid choice" in capsys.readouterr().err
-    assert build_parser() is not build_parser()
+    assert build_parser() is build_parser()
 
 
 def _float_wav(samples: np.ndarray, sample_rate: int = 44100) -> bytes:

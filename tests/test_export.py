@@ -2,6 +2,7 @@ import io
 import os
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from f0kit import (
     AudioClip,
+    Envelope,
     PitchTrack,
+    Spectrogram,
     SpectrogramConfig,
     SynthSpec,
     TrackerConfig,
@@ -125,6 +128,19 @@ class TestPlot:
     def test_byte_determinism(self):
         spec, env, result = analyzed_tone()
         assert svg_text(spec, result, env) == svg_text(spec, result, env)
+
+    def test_one_bin_spectrogram_renders(self):
+        # a 0 Hz-only axis has no span: one tick, and a scale that cannot divide by it
+        times = (np.arange(6) + 0.5) / 100.0
+        spec = Spectrogram(magnitudes=np.ones((1, 6)), freq_bins=np.array([0.0]),
+                           frame_times=times)
+        env = Envelope(values=np.full(6, 0.1), frame_times=times)
+        result = PitchTrack(times=times, f0=np.array([0.0, np.nan, 0.0, 0.0, np.nan, 0.0]),
+                            config=TrackerConfig())
+        content = svg_text(spec, result, env)
+        assert ElementTree.fromstring(content).tag == "{http://www.w3.org/2000/svg}svg"
+        assert content.count('class="f0"') == 4
+        assert "nan" not in content and "inf" not in content
 
     def test_inputs_not_mutated(self):
         spec, env, result = analyzed_tone()

@@ -1,4 +1,4 @@
-"""Peak memory per audio second of the baselines and the plot, on a 60 s clip.
+"""Peak memory per audio second of the baselines, the tracker and the plot, on a 60 s clip.
 
 Only the samples and the spectrogram need to be held whole. Each call here
 gets those as its input, and what it allocates beyond them must not grow
@@ -30,7 +30,8 @@ from songgen import SAMPLE_RATE, generate  # noqa: E402
 SECONDS = 60.0
 # MB per audio second. Measured on this clip, at the default band and at
 # f_min=100 (the benchmark's widest lag window), on one thread: acf 0.036 and
-# 0.048, yin 0.039 and 0.046, cepstrum 0.036 and 0.036; render_plot 0.080.
+# 0.048, yin 0.039 and 0.046, cepstrum 0.036 and 0.036; render_plot 0.080;
+# track 0.008 (refined), which read 0.116 while argmax copied the whole band.
 # On two threads each span's thread holds one chunk's arrays, so the
 # baselines read acf 0.069 and 0.094, yin 0.064-0.075 and 0.090, cepstrum
 # 0.070 and 0.070. With whole-clip decisions and a padded pooling copy they
@@ -91,3 +92,9 @@ def test_plot_peak_does_not_grow_with_the_clip(song, tmp_path):
     # whole SVG text and count it in the peak
     with open(tmp_path / "song.svg", "w", encoding="utf-8", newline="\n") as fh:
         assert peak_mb_per_s(lambda: render_plot(spec, result, env, fh)) <= BOUND_MB_PER_S
+
+
+def test_track_peak_does_not_grow_with_the_clip(song):
+    spec, env = spectrogram(song), envelope(song)
+    config = TrackerConfig(refine_peak=True)
+    assert peak_mb_per_s(lambda: track(spec, env, config)) <= BOUND_MB_PER_S

@@ -39,6 +39,14 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             synthesize(SynthSpec.concat(), SR)
 
+    @pytest.mark.parametrize("spec", [SynthSpec.tone(0.0),
+                                      SynthSpec.harmonic_stack(-1.0, (1.0,)),
+                                      SynthSpec.linear_chirp(-5.0, 1000.0)],
+                             ids=["tone", "stack", "chirp"])
+    def test_frequency_must_be_positive(self, spec):
+        with pytest.raises(ConfigError, match="must be positive"):
+            synthesize(spec, SR)
+
     def test_snr_on_silence_rejected(self):
         spec = SynthSpec(kind="silence", duration=1.0, noise_snr_db=20.0)
         with pytest.raises(ConfigError):
@@ -60,7 +68,7 @@ class TestAliasing:
 
     def test_just_below_nyquist_ok(self):
         clip, _ = synthesize(SynthSpec.tone(SR / 2 - 1.0), SR)
-        assert clip.n_frames == SR
+        assert len(clip.samples) == SR
 
 
 class TestOverflow:

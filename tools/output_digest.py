@@ -9,11 +9,15 @@ every exit code. Use it to show that a refactor changed no output::
 
 It writes ``--clips`` song and lowband clips of 6 s from
 ``perfbench/songgen.py`` (imported read-only), then calls
-``f0kit.cli.main``, imported from ``SRC_DIR``, once per clip and run. A run
-is one flag set (specmax with and without ``--refine``, acf, yin, cepstrum,
-each with ``--plot``) at one band (the default, and ``--fmin 100``) under
-one ``F0_NUM_THREADS`` value (1 and 2). One-input calls are used, so at 2
-threads the baselines split their frames over the idle thread too.
+``f0kit.cli.main``, imported from ``SRC_DIR``, for each flag set (specmax
+with and without ``--refine``, acf, yin, cepstrum, and acf and yin at
+``--hop 500``, each with ``--plot``) at each band (the default, and
+``--fmin 100``) under each ``F0_NUM_THREADS`` value (1 and 2): once per
+clip, and once more with every clip as one batch that writes into
+``--out DIR/ --plot DIR/``. Each call is one run. At 2 threads a one-input
+call splits a baseline's frames over the idle thread, and a batch runs its
+inputs side by side. A hop of 500 divides neither frame size, so acf and
+yin there take one segment per frame instead of sharing segments.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import hashlib
 import io
 import os
 import re
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -38,6 +43,8 @@ FLAG_SETS = {
     "acf": ["--method", "acf"],
     "yin": ["--method", "yin"],
     "cepstrum": ["--method", "cepstrum"],
+    "acf-hop500": ["--method", "acf", "--hop", "500"],
+    "yin-hop500": ["--method", "yin", "--hop", "500"],
 }
 BANDS = ([], ["--fmin", "100"])
 THREADS = ("1", "2")
@@ -54,6 +61,21 @@ def import_cli(src: Path):
     return f0kit.cli
 
 
+def run(cli, sha, argv: list[str], threads: str) -> None:
+    """Hash one ``main`` call: its argv, exit code and masked summary lines, then
+    the name and bytes of every file it wrote under ``out/``, which it removes."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    summary = re.sub(r"elapsed=[0-9.]+ ms", "elapsed=* ms", stdout.getvalue())
+    sha.update(f"{' '.join(argv)} threads={threads} exit={code}\n".encode())
+    sha.update(summary.encode())
+    for output in sorted(path for path in Path("out").rglob("*") if path.is_file()):
+        sha.update(f"{output}\n".encode())
+        sha.update(output.read_bytes())
+    shutil.rmtree("out", ignore_errors=True)
+
+
 def digest(cli, names: list[str], sets: list[str]) -> tuple[str, int]:
     """The sha256 over every run of ``names`` (WAVs in the working directory),
     and the run count."""
@@ -63,19 +85,13 @@ def digest(cli, names: list[str], sets: list[str]) -> tuple[str, int]:
         for band in BANDS:
             for threads in THREADS:
                 os.environ["F0_NUM_THREADS"] = threads
+                flags = [*FLAG_SETS[set_name], *band]
                 for name in names:
-                    argv = ["track", name, *FLAG_SETS[set_name], *band,
-                            "--out", "run.f0.txt", "--plot", "run.f0.svg"]
-                    stdout = io.StringIO()
-                    with contextlib.redirect_stdout(stdout):
-                        code = cli.main(argv)
-                    summary = re.sub(r"elapsed=[0-9.]+ ms", "elapsed=* ms", stdout.getvalue())
-                    sha.update(f"{' '.join(argv)} threads={threads} exit={code}\n".encode())
-                    sha.update(summary.encode())
-                    for output in (Path("run.f0.txt"), Path("run.f0.svg")):
-                        sha.update(output.read_bytes() if output.exists() else b"<missing>")
-                        output.unlink(missing_ok=True)
-                    runs += 1
+                    run(cli, sha, ["track", name, *flags, "--out", "out/run.f0.txt",
+                                   "--plot", "out/run.f0.svg"], threads)
+                run(cli, sha, ["track", *names, *flags, "--out", "out/tables/",
+                               "--plot", "out/plots/"], threads)
+                runs += len(names) + 1
     return sha.hexdigest(), runs
 
 

@@ -164,6 +164,7 @@ def _process_one(input_name: str, method: str, configs: dict[type, object],
         result = track(spec, env, configs[TrackerConfig])
     else:
         result = BASELINES[method](clip, configs[BaselineConfig])
+    del clip  # nothing below reads the samples: free them before the outputs
     _atomic_write(table_path, lambda stream: export_table(result, stream))
     if plot_path is not None:
         _atomic_write(plot_path, lambda stream: render_plot(spec, result, env, stream))

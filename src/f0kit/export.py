@@ -68,6 +68,7 @@ def _heatmap_runs(levels: np.ndarray):
     """(column, first row, last row, level) arrays of the vertical runs of one level."""
     n_rows = levels.shape[0]
     flat = levels.T.ravel()  # column after column, each from row 0 up: drawing order
+    # uint8 levels lie in 0..80, so a difference that wraps modulo 256 is still != 0
     starts = np.diff(flat, prepend=flat[0]) != 0
     starts[::n_rows] = True  # a run never continues into the next column
     first = np.flatnonzero(starts)
@@ -82,8 +83,12 @@ def _heatmap_rects(magnitudes: np.ndarray, left: float, plot_width: float,
     pooled = _pool_max(magnitudes, _MAX_ROWS, _MAX_COLS)
     # fmax takes -inf (a zero bin) and NaN (0/0: a silent clip) to the floor
     with np.errstate(divide="ignore", invalid="ignore"):
-        db = np.fmax(20.0 * np.log10(pooled / pooled.max()), _DB_FLOOR)
-    levels = np.rint(db - _DB_FLOOR).astype(int)  # 0 .. 80
+        pooled /= pooled.max()  # in place: pooled is _pool_max's own copy
+        np.log10(pooled, out=pooled)
+    pooled *= 20.0
+    np.fmax(pooled, _DB_FLOOR, out=pooled)
+    pooled -= _DB_FLOOR
+    levels = np.rint(pooled, out=pooled).astype(np.uint8)  # 0 .. 80
     n_rows, n_cols = levels.shape
     cell_w = plot_width / n_cols
     cell_h = height / n_rows

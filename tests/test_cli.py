@@ -3,6 +3,7 @@ import re
 import stat
 from dataclasses import fields
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -479,6 +480,29 @@ class TestGuards:
         assert main(["track", str(tone_wav), "--method", "yin",
                      "--out", str(tmp_path / "t.txt"), "--plot", str(plot)]) == 0
         assert plot.read_text().count("<rect ") > 1
+
+    @pytest.mark.parametrize("method", ["specmax", "yin"])
+    def test_samples_are_freed_before_the_outputs(self, tone_wav, tmp_path, capsys,
+                                                  monkeypatch, method):
+        # each thread holds its file's peak, so the samples must not stay
+        # alive through the table and plot writes
+        samples, alive = [], []
+
+        def load_wav(path):
+            clip = real_load_wav(path)
+            samples.append(weakref.ref(clip.samples))
+            return clip
+
+        def export_table(track, stream):
+            alive.append(samples[0]() is not None)
+            real_export_table(track, stream)
+
+        real_load_wav, real_export_table = cli.load_wav, cli.export_table
+        monkeypatch.setattr(cli, "load_wav", load_wav)
+        monkeypatch.setattr(cli, "export_table", export_table)
+        assert main(["track", str(tone_wav), "--method", method,
+                     "--out", str(tmp_path / "t.txt"), "--plot", str(tmp_path / "p.svg")]) == 0
+        assert alive == [False]
 
     @pytest.mark.parametrize("flag,via", [("--out", "."), ("--plot", "sub/..")])
     def test_output_over_the_input_fails_before_any_work(self, tone_wav, capsys,

@@ -75,11 +75,44 @@ def test_regression_only_beyond_the_bound():
 
 
 def test_a_run_without_a_result_drops_its_pair_and_is_counted():
-    canned = lines(PARENT, [p - 4.0 for p in PARENT], failed=(0, 2))
+    canned = lines(PARENT, [p - 4.0 for p in PARENT])
     canned[1]["result"] = None  # pair 0's change run printed nothing
     v = verdict(canned)
-    assert (v["wins"], v["pairs"], v["verdict"]) == (9, 9, "gain")
-    assert bench_pairs.operations(canned) == {"parent": (0, 500, 0), "change": (18, 450, 1)}
+    # nine wins in ten pairs run, but a gain needs every run's result
+    assert (v["wins"], v["pairs"], v["verdict"]) == (9, 10, "held")
+    assert v["parent"] == pytest.approx(68.5)
+    assert bench_pairs.operations(canned) == {"parent": (0, 500, 0), "change": (0, 450, 1)}
+
+
+def test_wins_count_against_every_pair_run():
+    canned = lines(PARENT, [p - 4.0 for p in PARENT])
+    del canned[3], canned[1]  # pairs 0 and 1 lost their change runs' lines altogether
+    v = verdict(canned)
+    assert (v["wins"], v["pairs"], v["verdict"]) == (8, 10, "held")
+
+
+def test_more_failed_operations_than_the_parent_is_no_gain():
+    change = [p - 4.0 for p in PARENT]
+    assert verdict(lines(PARENT, change, failed=(0, 2)))["verdict"] == "held"
+    assert verdict(lines(PARENT, change, failed=(2, 2)))["verdict"] == "gain"
+    assert bench_pairs.operations(lines(PARENT, change, failed=(0, 2))) == {
+        "parent": (0, 500, 0), "change": (20, 500, 0)}
+
+
+# interquartile range 14.5 MB around a 69.5 MB median: wider than a 10 % bound
+WIDE = [60.0, 75.0, 62.0, 78.0, 64.0, 76.0, 61.0, 77.0, 63.0, 79.0]
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    v = verdict(lines(WIDE, [p + 1.0 for p in WIDE]))
+    assert v["parent_iqr"] == pytest.approx(14.5)
+    assert v["verdict"] == "unresolved"
+    assert verdict(lines(WIDE, [p - 1.0 for p in WIDE]))["verdict"] == "unresolved"
+
+
+def test_a_wide_spread_is_held_when_every_change_run_is_better():
+    # every change run reads below every parent run, by less than the parent's spread
+    assert verdict(lines(WIDE, [59.0] * 10))["verdict"] == "held"
 
 
 def test_fewer_than_two_pairs_get_no_verdict():

@@ -1,10 +1,11 @@
 """Run perfbench in alternating pairs on two checkouts and judge each end-to-end metric.
 
 Each checkout runs its own ``perfbench/run.py --trace 0``, with the checkout
-as the working directory::
+as the working directory, for the ``run_seconds`` that ``BENCHMARK.json``
+fixes::
 
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload song-specmax \\
-        --pairs 10 --seconds 30 --seed 4701 --out runs.jsonl
+        --pairs 10 --seed 4701 --out runs.jsonl
 
 Pair ``i`` (from 0) runs both sides on seed ``--seed + i``; the parent goes
 first on even pairs, the change on odd ones. Every run appends one JSON line
@@ -15,12 +16,20 @@ environment only, which fixes glibc's mmap threshold and so the heap layout
 that otherwise moves ``peak_rss_mb`` between checkouts.
 
 Then, for each end-to-end metric of ``BENCHMARK.json``, it prints both
-medians, the parent's interquartile range, the pairs the change wins (a tie
-counts for neither side), the failed and attempted operations per side, and
-a verdict: ``gain`` when the change wins at least 9 in 10 pairs and its
-median is better than the parent's by more than the parent's interquartile
-range; ``regression`` when its median is worse than the metric's bound
-allows; ``held`` otherwise.
+medians and the parent's interquartile range over the pairs in which both
+sides printed a result, the pairs the change wins (a tie counts for neither
+side) out of all pairs run, the failed and attempted operations per side,
+and a verdict:
+
+- ``gain`` when the change wins at least 9 in 10 of all pairs run, its
+  median is better than the parent's by more than the parent's
+  interquartile range, every run printed a result and no more operations
+  failed than at the parent;
+- ``regression`` when the change's median is worse than the metric's bound
+  allows;
+- ``unresolved`` when the parent's interquartile range is wider than the
+  bound allows, unless every change run reads better than every parent run;
+- ``held`` otherwise.
 """
 
 from __future__ import annotations
@@ -59,30 +68,34 @@ def run_pair(dirs: dict[str, Path], workload: str, pair: int, seed: int,
 
 
 def judge(lines: list[dict], metrics: list[dict]) -> list[dict]:
-    """One verdict per metric (``BENCHMARK.json`` end-to-end entries) over the
-    pairs in which both sides printed a result; none under two such pairs."""
-    by_pair: dict[int, dict[str, dict]] = {}
+    """One verdict per metric (``BENCHMARK.json`` end-to-end entries); none
+    under two pairs in which both sides printed a result."""
+    by_pair: dict[int, dict[str, dict | None]] = {}
     for line in lines:
-        if line["result"] is not None:
-            by_pair.setdefault(line["pair"], {})[line["side"]] = line["result"]
-    pairs = [p for p in by_pair.values() if len(p) == 2]
+        by_pair.setdefault(line["pair"], {})[line["side"]] = line["result"]
+    pairs = [p for p in by_pair.values() if all(p.get(side) is not None for side in SIDES)]
     verdicts = []
     if len(pairs) < 2:  # too few for a median and an interquartile range
         return verdicts
+    ops = operations(lines)
+    may_gain = not ops["parent"][2] and not ops["change"][2] and ops["change"][0] <= ops["parent"][0]
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         parent, change = (statistics.median(values[side]) for side in SIDES)
         q1, _, q3 = statistics.quantiles(values["parent"], n=4, method="inclusive")
-        if wins >= 0.9 * len(pairs) and sign * (change - parent) > q3 - q1:
+        apart = min(sign * c for c in values["change"]) > max(sign * p for p in values["parent"])
+        if may_gain and 10 * wins >= 9 * len(by_pair) and sign * (change - parent) > q3 - q1:
             verdict = "gain"
         elif sign * (change - parent) < -metric["bound"] * parent:
             verdict = "regression"
+        elif q3 - q1 > metric["bound"] * parent and not apart:
+            verdict = "unresolved"
         else:
             verdict = "held"
         verdicts.append({"name": name, "parent": parent, "change": change,
-                         "parent_iqr": q3 - q1, "wins": wins, "pairs": len(pairs),
+                         "parent_iqr": q3 - q1, "wins": wins, "pairs": len(by_pair),
                          "verdict": verdict})
     return verdicts
 
@@ -104,7 +117,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, metavar="CHANGE_DIR")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, required=True, help="the first pair's seed")
     parser.add_argument("--pin-mmap", action="store_true",
                         help="run both sides with MALLOC_MMAP_THRESHOLD_=131072")
@@ -112,18 +124,18 @@ def main(argv=None) -> int:
                         help="JSON lines file the runs are appended to")
     args = parser.parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((REPO / "BENCHMARK.json").read_text())
     lines = []
     for pair in range(args.pairs):
-        pair_lines = run_pair(dirs, args.workload, pair, args.seed + pair, args.seconds,
-                              args.pin_mmap)
+        pair_lines = run_pair(dirs, args.workload, pair, args.seed + pair,
+                              bench["run_seconds"], args.pin_mmap)
         with args.out.open("a", encoding="utf-8") as out:
             out.writelines(json.dumps(line) + "\n" for line in pair_lines)
         lines += pair_lines
 
-    metrics = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}"
           + (", mmap threshold pinned" if args.pin_mmap else ""))
-    for v in judge(lines, metrics):
+    for v in judge(lines, bench["end_to_end"]):
         print(f"  {v['name']}: parent {v['parent']:.4g}, change {v['change']:.4g} "
               f"(parent IQR {v['parent_iqr']:.3g}); change wins {v['wins']}/{v['pairs']}: "
               f"{v['verdict']}")

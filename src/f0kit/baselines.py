@@ -89,7 +89,9 @@ _CHUNK_CELLS = 1 << 16
 # and lowband clips (interleaved medians on a warm worker thread): against 32,
 # 64-frame blocks ran one call 2-16 % faster and a 2-thread batch more evenly
 # (efficiency 0.60-0.80 -> 0.74-0.88). 96 and 128 ran lowband acf 1.5-1.7x
-# slower: their spectra fall out of cache.
+# slower: their spectra fall out of cache. A block writes into the spectra it
+# already owns and drops (``del``) each array once read, so a pool thread's
+# peak, which its heap keeps, is about one block's two spectra.
 _LAG_BLOCK = 64
 
 # d(tau) under this share of the frame energy is FFT rounding noise (at most
@@ -121,9 +123,19 @@ def _segments(frames: np.ndarray, seg: int, parts: int, width: int) -> np.ndarra
     return sliding_window_view(x, width)[::seg][: len(frames) + parts - 1]
 
 
-def _frame_sums(rows: np.ndarray, parts: int, n: int) -> np.ndarray:
-    """Per frame j < n, the sum of segment rows j .. j + parts - 1."""
-    return sum((rows[k : k + n] for k in range(1, parts)), rows[:n])
+def _conj_times(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """conj(S) Y into ``y``, conjugating ``s`` in place; keep this operand order, as
+    NumPy's complex multiply is not bitwise commutative."""
+    return np.multiply(np.conjugate(s, out=s), y, out=y)
+
+
+def _frame_sums(rows: np.ndarray, terms: int, out: np.ndarray) -> np.ndarray:
+    """Into ``out``, per frame j < len(out), rows j .. j + terms - 1 added in that order."""
+    n = len(out)
+    out[...] = rows[:n]
+    for k in range(1, terms):
+        out += rows[k : k + n]
+    return out
 
 
 def autocorrelation(frames: np.ndarray, tau_max: int, hop: int) -> np.ndarray:
@@ -143,11 +155,20 @@ def autocorrelation(frames: np.ndarray, tau_max: int, hop: int) -> np.ndarray:
     def lag_products(block):
         rows = _segments(block, seg, parts, seg + tau_max)
         s = np.fft.rfft(rows[:, :seg], size, axis=1)
-        power = s.real * s.real + s.imag * s.imag
         if parts > 1:
-            cross = s[:-1].conj() * np.fft.rfft(rows[:-1], size, axis=1)
-            power = _frame_sums(cross, parts - 1, len(block)) + power[parts - 1 :]
-        return np.fft.irfft(power, size, axis=1)[:, : tau_max + 1]
+            y = _conj_times(s[:-1], np.fft.rfft(rows[:-1], size, axis=1))
+        del rows
+        last = s[parts - 1 :]  # each frame's last segment; conjugation changes no square
+        power = last.real * last.real
+        power += np.multiply(last.imag, last.imag, out=last.imag)
+        if parts > 1:  # the conj(S_k) Y_k sums overwrite s, then |S_k|^2 is added
+            total = _frame_sums(y, parts - 1, s[: len(block)])
+            del y
+            total += power
+        else:
+            total = s
+            total[...] = power
+        return np.fft.irfft(total, size, axis=1)[:, : tau_max + 1]
 
     return _blockwise(lag_products, frames, tau_max + 1, _LAG_BLOCK)
 
@@ -171,25 +192,36 @@ def difference(frames: np.ndarray, tau_max: int, hop: int) -> tuple[np.ndarray, 
 
     def differences(block):
         rows = _segments(block, seg, parts, width)
-        cross = np.fft.rfft(rows[:, :seg], size, axis=1).conj() * np.fft.rfft(rows, size, axis=1)
-        c = np.fft.irfft(_frame_sums(cross, parts, len(block)), size, axis=1)[:, : tau_max + 1]
+        s = np.fft.rfft(rows[:, :seg], size, axis=1)
+        y = _conj_times(s, np.fft.rfft(rows, size, axis=1))
+        del rows
+        total = _frame_sums(y, parts, s[: len(block)])
+        del s, y  # the sums hold s's buffer until irfft has read them
+        c = np.fft.irfft(total, size, axis=1)[:, : tau_max + 1]
+        del total
         head, tail = block[:, :tau_max], block[:, w : w + tau_max]
         e_0 = np.einsum("ij,ij->i", block[:, :w], block[:, :w])[:, None]
-        e_tau = np.zeros_like(c)  # E_tau = E_0 + sum_{v<tau} (x[w+v]^2 - x[v]^2)
-        np.cumsum(tail * tail - head * head, axis=1, out=e_tau[:, 1:])
-        e_tau += e_0
-        d = e_0 + e_tau - 2.0 * c
+        # E_tau = E_0 + sum_{v<tau} (x[w+v]^2 - x[v]^2), then d = E_0 + E_tau - 2c, in one buffer
+        d = np.zeros_like(c)
+        np.multiply(tail, tail, out=d[:, 1:])
+        d[:, 1:] -= head * head
+        np.cumsum(d[:, 1:], axis=1, out=d[:, 1:])
+        d += e_0  # E_tau
+        d += e_0
+        d -= np.multiply(c, 2.0, out=c)
         # under this share of the first w + tau_max samples' energy, d is rounding noise
         d[d <= _D_NOISE * (e_0 + np.einsum("ij,ij->i", tail, tail)[:, None])] = 0.0
         return d
 
     d = _blockwise(differences, frames, tau_max + 1, _LAG_BLOCK)
     d[:, 0] = 0.0
-    # all-zero frames keep d'(tau) = 1
-    cumulative = np.cumsum(d[:, 1:], axis=1)
-    dn = np.ones_like(d)
-    np.divide(d[:, 1:] * np.arange(1.0, tau_max + 1), cumulative, out=dn[:, 1:],
-              where=cumulative > 0.0)
+    dn = np.empty_like(d)
+    dn[:, 0] = 1.0
+    cumulative = np.cumsum(d[:, 1:], axis=1, out=dn[:, 1:])
+    positive = cumulative > 0.0
+    np.divide(d[:, 1:] * np.arange(1.0, tau_max + 1), cumulative, out=cumulative,
+              where=positive)
+    cumulative[~positive] = 1.0  # all-zero frames keep d'(tau) = 1
     return d, dn
 
 
@@ -286,8 +318,11 @@ def cepstrum_pitch(clip: AudioClip, config: BaselineConfig | None = None) -> Pit
 
     def decide(chunk, tau_min, tau_max):
         def quefrencies(block):
-            spectra = np.abs(np.fft.rfft(block * window, axis=1))
-            return np.fft.irfft(np.log(spectra + 1e-12), axis=1)[:, tau_min : tau_max + 1]
+            spectra = np.fft.rfft(block * window, axis=1)
+            # log |X| as the real part of the spectra's own buffer: irfft casts nothing
+            spectra.real = np.log(np.abs(spectra) + 1e-12)
+            spectra.imag = 0.0
+            return np.fft.irfft(spectra, axis=1)[:, tau_min : tau_max + 1]
 
         region = _blockwise(quefrencies, chunk, tau_max - tau_min + 1)
         i, strength = pick_max(region)

@@ -4,8 +4,9 @@ Everything here is written as literal summation loops or O(N^2) matrix
 products so a bug in the library's FFT plumbing cannot hide in the tests.
 Keep these dumb; speed does not matter at test sizes. The ``whole_clip_*``
 expressions are the one exception: they are the analysis as it ran before
-it moved to blocks of frames, kept so the blocked code is pinned to it bit
-for bit.
+it moved to blocks of frames (and, for the lag products, before the blocks
+reused their own buffers), kept so the blocked code is pinned to it bit for
+bit.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def naive_dft_magnitudes(frame: np.ndarray) -> np.ndarray:
@@ -140,6 +142,70 @@ def whole_clip_cepstrum_region(frames: np.ndarray, tau_min: int, tau_max: int) -
     spectra = np.abs(np.fft.rfft(frames * np.hamming(frames.shape[1]), axis=1))
     cepstra = np.fft.irfft(np.log(spectra + 1e-12), axis=1)
     return cepstra[:, tau_min : tau_max + 1]
+
+
+def _fft_size(n: int) -> int:
+    k = range(n.bit_length() + 1)
+    return min(size for size in (2**a * 3**b * 5**c for a in k for b in k for c in k)
+               if size >= n)
+
+
+def _segments(frames: np.ndarray, seg: int, parts: int, width: int) -> np.ndarray:
+    if parts == 1:
+        return frames[:, :width]
+    pad = max(0, (parts - 1) * seg + width - frames.shape[1])
+    x = np.concatenate([frames[:-1, :seg].ravel(), frames[-1], np.zeros(pad)])
+    return sliding_window_view(x, width)[::seg][: len(frames) + parts - 1]
+
+
+def _frame_sums(rows: np.ndarray, parts: int, n: int) -> np.ndarray:
+    return sum((rows[k : k + n] for k in range(1, parts)), rows[:n])
+
+
+def whole_clip_autocorrelation(frames: np.ndarray, tau_max: int, hop: int) -> np.ndarray:
+    """acf's FFT lag products r(0..tau_max) of every frame, frames ``hop`` apart,
+    in the expressions the library used before its blocks reused their buffers:
+    a frame sums conj(S_k) Y_k over its hop-long segments but the last, then
+    adds |S_k|^2 of the last (one segment when the hop does not share them)."""
+    n = frames.shape[1]
+    parts = n // hop if n % hop == 0 and tau_max <= hop else 1
+    seg = n // parts
+    size = _fft_size(seg + tau_max)
+    rows = _segments(frames, seg, parts, seg + tau_max)
+    s = np.fft.rfft(rows[:, :seg], size, axis=1)
+    power = s.real * s.real + s.imag * s.imag
+    if parts > 1:
+        cross = s[:-1].conj() * np.fft.rfft(rows[:-1], size, axis=1)
+        power = _frame_sums(cross, parts - 1, len(frames)) + power[parts - 1 :]
+    return np.fft.irfft(power, size, axis=1)[:, : tau_max + 1]
+
+
+def whole_clip_difference(frames: np.ndarray, tau_max: int, hop: int):
+    """yin's d(0..tau_max) and d'(0..tau_max) of every frame, frames ``hop``
+    apart, in the library's former expressions (see
+    ``whole_clip_autocorrelation``): d = E_0 + E_tau - 2c over the first half
+    frame, d under 1e-12 of the first w + tau_max samples' energy set to 0."""
+    w = frames.shape[1] // 2
+    parts = w // hop if w % hop == 0 else 1
+    seg = w // parts
+    width = seg + tau_max
+    size = _fft_size(width)
+    rows = _segments(frames, seg, parts, width)
+    cross = np.fft.rfft(rows[:, :seg], size, axis=1).conj() * np.fft.rfft(rows, size, axis=1)
+    c = np.fft.irfft(_frame_sums(cross, parts, len(frames)), size, axis=1)[:, : tau_max + 1]
+    head, tail = frames[:, :tau_max], frames[:, w : w + tau_max]
+    e_0 = np.einsum("ij,ij->i", frames[:, :w], frames[:, :w])[:, None]
+    e_tau = np.zeros_like(c)
+    np.cumsum(tail * tail - head * head, axis=1, out=e_tau[:, 1:])
+    e_tau += e_0
+    d = e_0 + e_tau - 2.0 * c
+    d[d <= 1e-12 * (e_0 + np.einsum("ij,ij->i", tail, tail)[:, None])] = 0.0
+    d[:, 0] = 0.0
+    cumulative = np.cumsum(d[:, 1:], axis=1)
+    dn = np.ones_like(d)
+    np.divide(d[:, 1:] * np.arange(1.0, tau_max + 1), cumulative, out=dn[:, 1:],
+              where=cumulative > 0.0)
+    return d, dn
 
 
 def _parabola(left: float, center: float, right: float) -> float:

@@ -7,7 +7,9 @@ These tests hold both to the literal loops in ``oracles.py``: the lag
 products to ``acf_scan`` and ``yin_scan`` within a stated rounding
 tolerance, on one-segment and shared-segment geometries, and the picks,
 with their parabolic refinement, exactly on every frame, across chunk edges
-too.
+too. The lag products and the cepstrum are also held bit for bit to the
+library's former whole-array expressions (``oracles.whole_clip_*``), so a
+reordered sum or a swapped complex product fails here, not only in a digest.
 """
 
 import numpy as np
@@ -38,7 +40,9 @@ from oracles import (
     acf_pick,
     acf_scan,
     cepstrum_pick,
+    whole_clip_autocorrelation,
     whole_clip_cepstrum_region,
+    whole_clip_difference,
     yin_pick,
     yin_scan,
 )
@@ -234,6 +238,65 @@ def test_blocked_cepstrum_matches_whole_clip(monkeypatch, n_frames):
              for region in regions}
     assert len(first) == len(regions)
     assert np.array_equal(np.concatenate([first[j] for j in sorted(first)]), whole)
+
+
+# (frame size, hop, f_min): acf and yin take 2 and 1 segments per frame, 4 and
+# 2, 8 and 4, 16 and 8; 4 and 2, then 1 (tau_max 441 > hop) and 4, over the
+# 442-lag window; and one segment each at a hop that divides neither
+EXACT = [(2048, 1024, 800.0), (2048, 512, 800.0), (2048, 256, 800.0), (2048, 128, 800.0),
+         (2048, 512, 100.0), (2048, 256, 100.0), (2048, 500, 800.0)]
+
+
+def _exact_clip(frame_size, hop, n_frames):
+    """``n_frames`` frames ``hop`` apart of noise, then silence longer than a
+    frame (r(0) = 0, d' = 1), then a sine of period 100 (d(100) ~ 0)."""
+    rng = np.random.default_rng(hop)
+    n = (n_frames - 1) * hop + frame_size
+    samples = 0.8 * np.sin(2 * np.pi * np.arange(n) / 100.0)
+    samples[: n // 3] = rng.uniform(-0.9, 0.9, n // 3)
+    samples[n // 3 : n // 3 + frame_size + hop] = 0.0
+    return AudioClip(samples=samples, sample_rate=SR)
+
+
+@pytest.mark.parametrize("frame_size,hop,f_min", EXACT)
+def test_lag_products_equal_the_former_expressions(frame_size, hop, f_min):
+    # 150 frames: two edges of the 64-frame lag blocks
+    tau_max = BaselineConfig(frame_size=frame_size, hop=hop, f_min=f_min).lag_range(SR)[1]
+    frames = sliding_window_view(_exact_clip(frame_size, hop, 150).samples, frame_size)[::hop]
+    assert np.array_equal(autocorrelation(frames, tau_max, hop),
+                          whole_clip_autocorrelation(frames, tau_max, hop))
+    d, dn = difference(frames, tau_max, hop)
+    d_ref, dn_ref = whole_clip_difference(frames, tau_max, hop)
+    assert np.array_equal(d, d_ref)
+    assert np.array_equal(dn, dn_ref)
+
+
+@pytest.mark.parametrize("hop", [512, 256])
+def test_decisions_read_the_former_expressions_across_chunk_edges(monkeypatch, hop):
+    # at f_min=100 a chunk is 128 frames; 261 frames give two chunk edges.
+    # One thread runs one span, so the chunks reach the picks in order.
+    monkeypatch.setenv("F0_NUM_THREADS", "1")
+    cfg = BaselineConfig(f_min=100.0, hop=hop)
+    tau_min, tau_max = cfg.lag_range(SR)
+    chunk = _chunk_frames(tau_max + 1)
+    clip = _exact_clip(cfg.frame_size, hop, 2 * chunk + 5)
+    frames = sliding_window_view(clip.samples, cfg.frame_size)[::hop]
+    r = whole_clip_autocorrelation(frames, tau_max, hop)[:, tau_min:]
+    r0 = np.einsum("ij,ij->i", frames, frames)[:, None]
+    expected = {
+        autocorr_pitch: np.divide(r, r0, out=np.zeros_like(r), where=r0 > 0.0),
+        yin_pitch: whole_clip_difference(frames, tau_max, hop)[1],
+        cepstrum_pitch: whole_clip_cepstrum_region(frames, tau_min, tau_max),
+    }
+    for detector, want in expected.items():
+        seen = []
+        monkeypatch.setattr(baselines, "pick_max",
+                            lambda rows: seen.append(rows.copy()) or pick_max(rows))
+        monkeypatch.setattr(baselines, "pick_yin",
+                            lambda dn, *args: seen.append(dn.copy()) or pick_yin(dn, *args))
+        detector(clip, cfg)
+        assert len(seen) == 3
+        assert np.array_equal(np.concatenate(seen), want), detector.__name__
 
 
 @pytest.fixture(scope="module")

@@ -11,13 +11,17 @@ It writes ``--clips`` song and lowband clips of 6 s from
 ``perfbench/songgen.py`` (imported read-only), then calls
 ``f0kit.cli.main``, imported from ``SRC_DIR``, for each flag set (specmax
 with and without ``--refine``, acf, yin, cepstrum, and acf and yin at
-``--hop 500``, each with ``--plot``) at each band (the default, and
-``--fmin 100``) under each ``F0_NUM_THREADS`` value (1 and 2): once per
-clip, and once more with every clip as one batch that writes into
+``--hop 500`` and at ``--hop 256``, each with ``--plot``) at each band (the
+default, and ``--fmin 100``) under each ``F0_NUM_THREADS`` value (1 and 2):
+once per clip, and once more with every clip as one batch that writes into
 ``--out DIR/ --plot DIR/``. Each call is one run. At 2 threads a one-input
 call splits a baseline's frames over the idle thread, and a batch runs its
 inputs side by side. A hop of 500 divides neither frame size, so acf and
-yin there take one segment per frame instead of sharing segments.
+yin there take one segment per frame instead of sharing segments. At the
+default hop of 512 acf shares 4 segments per frame and yin 2; a hop of 256
+gives acf 8 at the default band and yin 4 at both bands, so yin's frame
+sums, too, add more than two terms. At ``--fmin 100`` (lags up to 441 > 256)
+acf takes one segment there.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ FLAG_SETS = {
     "cepstrum": ["--method", "cepstrum"],
     "acf-hop500": ["--method", "acf", "--hop", "500"],
     "yin-hop500": ["--method", "yin", "--hop", "500"],
+    "acf-hop256": ["--method", "acf", "--hop", "256"],
+    "yin-hop256": ["--method", "yin", "--hop", "256"],
 }
 BANDS = ([], ["--fmin", "100"])
 THREADS = ("1", "2")

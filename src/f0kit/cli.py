@@ -26,13 +26,30 @@ from .tracker import TrackerConfig, track
 
 METHODS = ("specmax", *BASELINES)
 
-# flag -> the config field it sets; a run reads a flag if one of its configs
-# has that field (see _resolve)
-_FIELDS = {"fmin": "f_min", "fmax": "f_max", "window": "window_size",
-           "overlap": "overlap", "window_fn": "window_function",
-           "silence_db": "silence_threshold_db", "peak_db": "peak_threshold_db",
-           "refine": "refine_peak", "frame_size": "frame_size", "hop": "hop",
-           "yin_threshold": "yin_threshold"}
+# each config flag once: flag -> (the config field it sets, its argparse keywords);
+# a run reads a flag if one of its configs has that field (see _resolve)
+_FLAGS = {
+    "--fmin": ("f_min", dict(type=float, metavar="HZ", help="lower band edge (default 800)")),
+    "--fmax": ("f_max", dict(type=float, metavar="HZ", help="upper band edge (default 8000)")),
+    "--window": ("window_size", dict(
+        type=int, metavar="N",
+        help="spectrogram window size in samples, power of two (default 1024)")),
+    "--overlap": ("overlap", dict(
+        type=int, metavar="N", help="spectrogram overlap in samples (default window/2)")),
+    "--window-fn": ("window_function", dict(
+        choices=WINDOW_FUNCTIONS, help="spectrogram window function (default hann)")),
+    "--silence-db": ("silence_threshold_db", dict(
+        type=float, metavar="DB", help="silence gate relative to max envelope (default -40)")),
+    "--peak-db": ("peak_threshold_db", dict(
+        type=float, metavar="DB", help="peak gate relative to max magnitude (default -45)")),
+    "--refine": ("refine_peak", dict(
+        action="store_true", help="parabolic refinement of the spectral peak")),
+    "--frame-size": ("frame_size", dict(
+        type=int, metavar="N", help="baseline frame size in samples (default 2048)")),
+    "--hop": ("hop", dict(type=int, metavar="N", help="baseline hop in samples (default 512)")),
+    "--yin-threshold": ("yin_threshold", dict(
+        type=float, metavar="X", help="voicing threshold for the yin method (default 0.15)")),
+}
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -51,28 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="estimate f0 tables (and plots) for WAV files")
     p.add_argument("inputs", nargs="+", help="input WAV files")
     p.add_argument("--method", choices=METHODS, default="specmax")
-    p.add_argument("--fmin", type=float, default=None, metavar="HZ",
-                   help="lower band edge (default 800)")
-    p.add_argument("--fmax", type=float, default=None, metavar="HZ",
-                   help="upper band edge (default 8000)")
-    p.add_argument("--window", type=int, default=None, metavar="N",
-                   help="spectrogram window size in samples, power of two (default 1024)")
-    p.add_argument("--overlap", type=int, default=None, metavar="N",
-                   help="spectrogram overlap in samples (default window/2)")
-    p.add_argument("--window-fn", choices=WINDOW_FUNCTIONS, default=None,
-                   help="spectrogram window function (default hann)")
-    p.add_argument("--silence-db", type=float, default=None, metavar="DB",
-                   help="silence gate relative to max envelope (default -40)")
-    p.add_argument("--peak-db", type=float, default=None, metavar="DB",
-                   help="peak gate relative to max magnitude (default -45)")
-    p.add_argument("--refine", action="store_true", default=None,
-                   help="parabolic refinement of the spectral peak")
-    p.add_argument("--frame-size", type=int, default=None, metavar="N",
-                   help="baseline frame size in samples (default 2048)")
-    p.add_argument("--hop", type=int, default=None, metavar="N",
-                   help="baseline hop in samples (default 512)")
-    p.add_argument("--yin-threshold", type=float, default=None, metavar="X",
-                   help="voicing threshold for the yin method (default 0.15)")
+    for flag, (field, keywords) in _FLAGS.items():
+        p.add_argument(flag, dest=field, default=None, **keywords)
     p.add_argument("--out", default=None, metavar="PATH",
                    help="table destination; a directory when given several inputs")
     p.add_argument("--plot", default=None, metavar="PATH",
@@ -98,15 +95,11 @@ def _resolve(args) -> dict[type, object]:
     read = {f.name for cls in classes for f in fields(cls)}
     if args.method != "yin":
         read.discard("yin_threshold")
-    given = {}
-    for flag, field in _FIELDS.items():
-        value = getattr(args, flag)
-        if value is not None and field in read:
-            given[field] = value
-        elif value is not None:
-            print(f"f0: warning: --{flag.replace('_', '-')} has no effect with "
-                  f"method {args.method}", file=sys.stderr)
-    return {cls: cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
+    for flag, (field, _) in _FLAGS.items():
+        if getattr(args, field) is not None and field not in read:
+            print(f"f0: warning: {flag} has no effect with method {args.method}", file=sys.stderr)
+    return {cls: cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                        if f.name in read and getattr(args, f.name) is not None})
             for cls in classes}
 
 

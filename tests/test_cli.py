@@ -386,11 +386,18 @@ def test_help_defaults_match_the_config_defaults(capsys):
         ["--fmin", "--fmax", "--window", "--window-fn", "--silence-db", "--peak-db",
          "--frame-size", "--hop", "--yin-threshold"])
     for flag, text in documented.items():
-        field = cli._FIELDS[flag[2:].replace("-", "_")]
+        field = cli._FLAGS[flag][0]
         defaults = [f.default for cls in (SpectrogramConfig, TrackerConfig, BaselineConfig)
                     for f in fields(cls) if f.name == field]
         assert defaults, flag
         assert all(type(d)(text) == d for d in defaults), (flag, text, defaults)
+
+
+def test_each_config_field_has_exactly_one_flag():
+    flagged = [field for field, _ in cli._FLAGS.values()]
+    configured = {f.name for cls in (SpectrogramConfig, TrackerConfig, BaselineConfig)
+                  for f in fields(cls)}
+    assert sorted(flagged) == sorted(configured)
 
 
 def test_parser_rejects_unknown_method():

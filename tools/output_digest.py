@@ -1,8 +1,10 @@
 """One sha256 over every output of ``f0 track`` on seeded song and lowband clips.
 
-Two source trees that print the same digest wrote the same bytes: every
-table, every SVG, every summary line (with its ``elapsed=`` time masked) and
-every exit code. Use it to show that a refactor changed no output::
+Two source trees that print the same digest wrote the same bytes: the
+``f0 track --help`` text, and for every run each table, each SVG, the
+summary lines (with their ``elapsed=`` times masked), everything printed to
+stderr (warnings and per-file errors) and the exit code. Use it to show that
+a refactor changed no output::
 
     python tools/output_digest.py path/to/parent/src
     python tools/output_digest.py src
@@ -10,18 +12,23 @@ every exit code. Use it to show that a refactor changed no output::
 It writes ``--clips`` song and lowband clips of 6 s from
 ``perfbench/songgen.py`` (imported read-only), then calls
 ``f0kit.cli.main``, imported from ``SRC_DIR``, for each flag set (specmax
-with and without ``--refine``, acf, yin, cepstrum, and acf and yin at
-``--hop 500`` and at ``--hop 256``, each with ``--plot``) at each band (the
-default, and ``--fmin 100``) under each ``F0_NUM_THREADS`` value (1 and 2):
-once per clip, and once more with every clip as one batch that writes into
-``--out DIR/ --plot DIR/``. Each call is one run. At 2 threads a one-input
-call splits a baseline's frames over the idle thread, and a batch runs its
-inputs side by side. A hop of 500 divides neither frame size, so acf and
-yin there take one segment per frame instead of sharing segments. At the
-default hop of 512 acf shares 4 segments per frame and yin 2; a hop of 256
-gives acf 8 at the default band and yin 4 at both bands, so yin's frame
-sums, too, add more than two terms. At ``--fmin 100`` (lags up to 441 > 256)
-acf takes one segment there.
+with and without ``--refine``, acf, yin, cepstrum, acf and yin at
+``--hop 500`` and at ``--hop 256``, and acf with two flags it does not read,
+each with ``--plot``) at each band (the default, and ``--fmin 100``) under
+each ``F0_NUM_THREADS`` value (1 and 2): once per clip, and once more with
+every clip as one batch that writes into ``--out DIR/ --plot DIR/``. Each
+call is one run. At 2 threads a one-input call splits a baseline's frames
+over the idle thread, and a batch runs its inputs side by side. A hop of 500
+divides neither frame size, so acf and yin there take one segment per frame
+instead of sharing segments. At the default hop of 512 acf shares 4
+segments per frame and yin 2; a hop of 256 gives acf 8 at the default band
+and yin 4 at both bands, so yin's frame sums, too, add more than two terms.
+At ``--fmin 100`` (lags up to 441 > 256) acf takes one segment there. The
+``acf-unread`` set passes ``--silence-db`` and ``--yin-threshold``, so every
+one of its runs prints a "has no effect" warning for each, even with
+``--plot``. The inputs are named relative to the working directory, so no
+temporary path reaches the hashed text; the help text is wrapped at
+``COLUMNS=80``.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ FLAG_SETS = {
     "yin-hop500": ["--method", "yin", "--hop", "500"],
     "acf-hop256": ["--method", "acf", "--hop", "256"],
     "yin-hop256": ["--method", "yin", "--hop", "256"],
+    "acf-unread": ["--method", "acf", "--silence-db", "-30", "--yin-threshold", "0.2"],
 }
 BANDS = ([], ["--fmin", "100"])
 THREADS = ("1", "2")
@@ -68,14 +76,16 @@ def import_cli(src: Path):
 
 
 def run(cli, sha, argv: list[str], threads: str) -> None:
-    """Hash one ``main`` call: its argv, exit code and masked summary lines, then
-    the name and bytes of every file it wrote under ``out/``, which it removes."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    """Hash one ``main`` call: its argv, exit code, masked summary lines and
+    stderr, then the name and bytes of every file it wrote under ``out/``,
+    which it removes."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
     summary = re.sub(r"elapsed=[0-9.]+ ms", "elapsed=* ms", stdout.getvalue())
     sha.update(f"{' '.join(argv)} threads={threads} exit={code}\n".encode())
     sha.update(summary.encode())
+    sha.update(stderr.getvalue().encode())
     for output in sorted(path for path in Path("out").rglob("*") if path.is_file()):
         sha.update(f"{output}\n".encode())
         sha.update(output.read_bytes())
@@ -83,9 +93,13 @@ def run(cli, sha, argv: list[str], threads: str) -> None:
 
 
 def digest(cli, names: list[str], sets: list[str]) -> tuple[str, int]:
-    """The sha256 over every run of ``names`` (WAVs in the working directory),
-    and the run count."""
+    """The sha256 over the help text and every run of ``names`` (WAVs in the
+    working directory), and the run count."""
     sha = hashlib.sha256()
+    help_text = io.StringIO()
+    with contextlib.redirect_stdout(help_text), contextlib.suppress(SystemExit):
+        cli.main(["track", "--help"])
+    sha.update(help_text.getvalue().encode())
     runs = 0
     for set_name in sets:
         for band in BANDS:
@@ -113,6 +127,7 @@ def main(argv=None) -> int:
                         help="flag sets to run (default: all)")
     args = parser.parse_args(argv)
     cli = import_cli(args.src.resolve())
+    os.environ["COLUMNS"] = "80"  # argparse wraps the help text to the terminal
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)  # the summary lines name the inputs as given

@@ -5,12 +5,14 @@ window derived from the configured frequency band, so their outputs line up
 frame for frame and can be compared directly against the spectral tracker.
 Lag products come from FFTs (Wiener-Khinchin; YIN's difference function from
 a cross-correlation plus energy sums). Both are sums over a frame's samples,
-so where the hop allows they are assembled from hop-long segments, each
-transformed once and shared by the frames that overlap it, with one small
-inverse transform per frame; any other hop treats each frame as one
-segment. Each detector's whole per-frame decision runs on one chunk of
-frames at a time, so only the per-frame lag and voicing outlive a chunk.
-Each integer-lag peak is refined with a parabolic fit through its
+so where the hop allows they are assembled from segments of at most a hop,
+each transformed once and shared by the frames that overlap it, with one
+small inverse transform per frame. The samples that follow a segment are
+never transformed again: by the DFT shift theorem their spectrum is the
+neighbouring segments' spectra, each times a phase. Any other hop treats
+each frame as one segment. Each detector's whole per-frame decision runs on
+one chunk of frames at a time, so only the per-frame lag and voicing outlive
+a chunk. Each integer-lag peak is refined with a parabolic fit through its
 neighbours, which removes most of the lag-quantization error at high
 fundamentals (at 4 kHz and 44.1 kHz a whole lag step is worth hundreds of
 Hz).
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioClip
 from .dsp import _blockwise, _framed, _spanwise
@@ -95,8 +96,9 @@ _CHUNK_CELLS = 1 << 16
 _LAG_BLOCK = 64
 
 # d(tau) under this share of the frame energy is FFT rounding noise (at most
-# 3e-14 measured; 4e-15 with shared segments); it is zeroed, else it alone can
-# voice a constant frame.
+# 7e-15 measured on random, period-100, quiet-then-loud and constant frames of
+# 1024-4096 samples, at both bands and every hop from 64 to the frame); it is
+# zeroed, else it alone can voice a constant frame.
 _D_NOISE = 1e-12
 
 
@@ -108,19 +110,48 @@ def _fft_size(n: int) -> int:
                if size >= n)
 
 
-def _segments(frames: np.ndarray, seg: int, parts: int, width: int) -> np.ndarray:
-    """Rows of ``width`` samples, one per ``seg``-sample segment under ``frames``.
-
-    With ``parts`` segments per frame the frames must lie ``seg`` samples
-    apart, so frame j's segments are rows j .. j + parts - 1 of the
-    ``len(frames) + parts - 1`` shared ones; samples past the last frame read 0.
-    With one part each frame is its own row.
+def _segment_length(hop: int, tau_max: int) -> int:
+    """Samples per shared segment: ``hop``, halved while the half still covers the
+    lag window and 128 samples, so a short window gets short transforms. At the
+    default hop of 512 on 6 s song clips, one-thread calls of acf and yin ran
+    as fast with 64-sample segments as with 128 and 15-25 % faster than with
+    whole hops, but a 2-thread batch of both ran 1-5 % slower with 64.
     """
-    if parts == 1:
-        return frames[:, :width]
-    pad = max(0, (parts - 1) * seg + width - frames.shape[1])
-    x = np.concatenate([frames[:-1, :seg].ravel(), frames[-1], np.zeros(pad)])
-    return sliding_window_view(x, width)[::seg][: len(frames) + parts - 1]
+    seg = hop
+    while seg % 2 == 0 and seg // 2 >= max(tau_max, 128):
+        seg //= 2
+    return seg
+
+
+@lru_cache(maxsize=32)
+def _phases(seg: int, reach: int, size: int) -> np.ndarray:
+    """Row m - 1 holds e^(-2 pi i f m seg / size), f = 0 .. size // 2, for m = 1 .. reach:
+    by the shift theorem, the factor that turns the spectrum at ``size`` of a segment
+    into its share of the spectrum of the samples starting m segments earlier."""
+    turns = np.outer(np.arange(1, reach + 1) * seg, np.arange(size // 2 + 1)) % size
+    phases = np.exp(turns * (-2j * np.pi / size))
+    phases.setflags(write=False)
+    return phases
+
+
+def _segment_spectra(frames: np.ndarray, hop: int, seg: int, hops: int,
+                     size: int) -> np.ndarray:
+    """rfft at ``size`` of each ``seg``-sample segment of the first ``hops`` hops of
+    ``frames``, which lie ``hop`` apart: entry [i, h] is segment i of hop h, hop j
+    being frame j's first, so the segment after it is entry [i + 1, h], or
+    [0, h + 1] after a hop's last.
+
+    The segments are read from the frames' own samples, each frame's first hop
+    and then the last frame's following ones, so no copy of the samples is made.
+    They start at each frame's first sample; a window that starts later would
+    pass ``frames[:, start:]``.
+    """
+    n, step = len(frames), hop // seg
+    s = np.empty((step, n - 1 + hops, size // 2 + 1), dtype=complex)
+    np.fft.rfft(frames[:, :hop].reshape(n, step, seg), size, out=s[:, :n].transpose(1, 0, 2))
+    np.fft.rfft(frames[-1, hop : hops * hop].reshape(hops - 1, step, seg), size,
+                out=s[:, n:].transpose(1, 0, 2))
+    return s
 
 
 def _conj_times(s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -129,11 +160,48 @@ def _conj_times(s: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.multiply(np.conjugate(s, out=s), y, out=y)
 
 
+def _power(s: np.ndarray) -> np.ndarray:
+    """|S|^2 in ``s``'s own buffer: the real parts squared and summed, imaginary 0."""
+    np.multiply(s.real, s.real, out=s.real)
+    s.real += np.multiply(s.imag, s.imag, out=s.imag)
+    s.imag = 0.0
+    return s
+
+
+def _hop_sums(s: np.ndarray, seg: int, reach: int, size: int, hops: int):
+    """conj(S_k) Y_k summed over the segments of each of the first ``hops`` hops of
+    ``_segment_spectra``'s ``s``: as (the sum over all but the hop's last segment, or
+    None for a one-segment hop; the last segment's term, for the hops with ``reach``
+    segments after it).
+
+    Y_k, the spectrum of the (reach + 1) * seg samples starting with segment k, is
+    S_k plus each S_{k+m} (m = 1 .. reach) times its ``_phases`` row. Each S_k is
+    conjugated in place once no later term reads it.
+    """
+    step, phases, partial = len(s), _phases(seg, reach, size), None
+    for i in range(step):
+        n = min(hops, s.shape[1] - (i + reach) // step)
+        y = np.multiply(s[(i + 1) % step, (i + 1) // step :][:n], phases[0])
+        y += s[i, :n]
+        for m in range(2, reach + 1):
+            y += s[(i + m) % step, (i + m) // step :][:n] * phases[m - 1]
+        # a hop's first segment is also the S_{k+1} of the hop before's last
+        y = _conj_times(s[i, :n] if i or step == 1 else s[i, :n].copy(), y)
+        if i == step - 1:
+            return partial, y
+        if partial is None:
+            partial = y
+        else:
+            partial += y
+        del y
+
+
 def _frame_sums(rows: np.ndarray, terms: int, out: np.ndarray) -> np.ndarray:
-    """Into ``out``, per frame j < len(out), rows j .. j + terms - 1 added in that order."""
+    """Into ``out``, per frame j < len(out), rows j .. j + terms - 1 (terms >= 2)
+    added in that order."""
     n = len(out)
-    out[...] = rows[:n]
-    for k in range(1, terms):
+    np.add(rows[:n], rows[1 : n + 1], out=out)
+    for k in range(2, terms):
         out += rows[k : k + n]
     return out
 
@@ -141,62 +209,81 @@ def _frame_sums(rows: np.ndarray, terms: int, out: np.ndarray) -> np.ndarray:
 def autocorrelation(frames: np.ndarray, tau_max: int, hop: int) -> np.ndarray:
     """r(tau) = sum_t x[t] x[t+tau] for tau = 0..tau_max, per frame.
 
-    When ``hop`` (the frames' spacing) divides the frame and tau_max <= hop,
-    each hop-long segment S_k and the hop + tau_max samples Y_k starting with
-    it are transformed once, and a frame's spectrum is the sum of
-    conj(S_k) Y_k over its segments but the last, plus |S_k|^2 for the last.
-    Otherwise (e.g. ``hop`` = frame length) each frame is one segment.
+    When ``hop`` (the frames' spacing) is a proper divisor of the frame and
+    tau_max <= hop, the frames share segments of ``_segment_length`` samples
+    (seg >= tau_max), each transformed once at N = ``_fft_size``(2 seg). By the
+    shift theorem the 2 seg samples starting with segment k have the spectrum
+    Y_k = S_k + S_{k+1} e^(-2 pi i f seg / N), which is (-1)^f S_{k+1} at
+    N = 2 seg, and seg - 1 + tau_max < N, so no lag wraps around. A frame's
+    spectrum is |S_k|^2 of its last segment plus conj(S_k) Y_k over the others,
+    summed one hop's segments at a time. Otherwise (e.g. ``hop`` = frame
+    length) each frame is one segment, transformed at frame + tau_max.
     """
     n = frames.shape[1]
-    parts = n // hop if n % hop == 0 and tau_max <= hop else 1
-    seg = n // parts
-    size = _fft_size(seg + tau_max)  # no circular wrap-around
+    if n % hop or tau_max > hop or hop == n:
+        size = _fft_size(n + tau_max)  # no circular wrap-around
 
-    def lag_products(block):
-        rows = _segments(block, seg, parts, seg + tau_max)
-        s = np.fft.rfft(rows[:, :seg], size, axis=1)
-        if parts > 1:
-            y = _conj_times(s[:-1], np.fft.rfft(rows[:-1], size, axis=1))
-        del rows
-        last = s[parts - 1 :]  # each frame's last segment; conjugation changes no square
-        power = last.real * last.real
-        power += np.multiply(last.imag, last.imag, out=last.imag)
-        if parts > 1:  # the conj(S_k) Y_k sums overwrite s, then |S_k|^2 is added
-            total = _frame_sums(y, parts - 1, s[: len(block)])
-            del y
-            total += power
-        else:
-            total = s
-            total[...] = power
-        return np.fft.irfft(total, size, axis=1)[:, : tau_max + 1]
+        def spectra(block):
+            return _power(np.fft.rfft(block, size, axis=1))
+    else:
+        seg = _segment_length(hop, tau_max)
+        hops, size = n // hop, _fft_size(2 * seg)
 
-    return _blockwise(lag_products, frames, tau_max + 1, _LAG_BLOCK)
+        def spectra(block):
+            s = _segment_spectra(block, hop, seg, hops, size)
+            partial, hop_terms = _hop_sums(s, seg, 1, size, s.shape[1])
+            if partial is not None:  # whole hops
+                hop_terms += partial[:-1]
+            total = _power(s[-1, hops - 1 :])  # each frame's last segment, spent
+            for k in range(hops - 1):
+                total += hop_terms[k : k + len(block)]
+            del hop_terms
+            if partial is not None:  # the last hop's segments but the last
+                total += partial[hops - 1 :]
+            return total
+
+    return _blockwise(lambda block: np.fft.irfft(spectra(block), size, axis=1)[:, : tau_max + 1],
+                      frames, tau_max + 1, _LAG_BLOCK)
 
 
 def difference(frames: np.ndarray, tau_max: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
     """YIN difference d and its cumulative-mean normalization d' (d'(0) = 1).
 
     d(tau) = sum_{t<w} (x[t] - x[t+tau])^2 over the first half frame, for
-    tau = 0..tau_max, formed as E_0 + E_tau - 2 c(tau). c sums, over the
-    half frame's segments, the correlation of each segment S_k with the
-    seg + tau_max samples Y_k that start with it. Segments are ``hop`` long,
-    and shared between frames, when ``hop`` (the frames' spacing) divides w;
-    otherwise (e.g. ``hop`` = frame length) the half frame is one segment. E_tau
-    runs from E_0 by one cumulative sum of tau_max terms per frame.
+    tau = 0..tau_max, formed as E_0 + E_tau - 2 c(tau). c sums, over the half
+    frame's segments, the correlation of each segment S_k with the samples Y_k
+    that start with it. When ``hop`` (the frames' spacing) is a proper divisor
+    of w, the frames share segments of ``_segment_length`` samples, each
+    transformed once at N = ``_fft_size``((M + 1) seg), M = ceil(tau_max / seg):
+    Y_k covers M + 1 segments, and its spectrum is S_k + sum_m S_{k+m}
+    e^(-2 pi i f m seg / N). Otherwise (e.g. ``hop`` = frame length) the half
+    frame is one segment and Y_k its w + tau_max samples, each transformed at
+    w + tau_max. E_tau runs from E_0 by one cumulative sum of tau_max terms per
+    frame.
     """
     w = frames.shape[1] // 2
-    parts = w // hop if w % hop == 0 else 1
-    seg = w // parts
-    width = seg + tau_max
-    size = _fft_size(width)
+    if w % hop or hop == w:
+        size = _fft_size(w + tau_max)
+
+        def cross(block):
+            s = np.fft.rfft(block[:, :w], size, axis=1)
+            return _conj_times(s, np.fft.rfft(block[:, : w + tau_max], size, axis=1))
+    else:
+        seg = _segment_length(hop, tau_max)
+        reach = -(-tau_max // seg)
+        size = _fft_size((reach + 1) * seg)
+        hops = w // hop + -(-reach * seg // hop)  # the half frame's, then those its lags reach
+
+        def cross(block):
+            s = _segment_spectra(block, hop, seg, hops, size)
+            partial, hop_terms = _hop_sums(s, seg, reach, size, len(block) - 1 + w // hop)
+            if partial is not None:
+                hop_terms += partial
+                del partial
+            return _frame_sums(hop_terms, w // hop, s[0, : len(block)])  # s is spent
 
     def differences(block):
-        rows = _segments(block, seg, parts, width)
-        s = np.fft.rfft(rows[:, :seg], size, axis=1)
-        y = _conj_times(s, np.fft.rfft(rows, size, axis=1))
-        del rows
-        total = _frame_sums(y, parts, s[: len(block)])
-        del s, y  # the sums hold s's buffer until irfft has read them
+        total = cross(block)
         c = np.fft.irfft(total, size, axis=1)[:, : tau_max + 1]
         del total
         head, tail = block[:, :tau_max], block[:, w : w + tau_max]
@@ -213,6 +300,7 @@ def difference(frames: np.ndarray, tau_max: int, hop: int) -> tuple[np.ndarray, 
         d[d <= _D_NOISE * (e_0 + np.einsum("ij,ij->i", tail, tail)[:, None])] = 0.0
         return d
 
+    # the window (segments, E_0 and E_tau alike) starts at each frame's first sample
     d = _blockwise(differences, frames, tau_max + 1, _LAG_BLOCK)
     d[:, 0] = 0.0
     dn = np.empty_like(d)

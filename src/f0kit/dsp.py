@@ -145,15 +145,22 @@ def _thread_limit() -> int:
 
 
 def _submit(fn, *args):
-    """The future of ``fn(*args)`` on the process's one pool, made on first use."""
+    """The future of ``fn(*args)`` on the process's one pool, made on first use.
+
+    A cancelled task stays queued until a pool thread drops it, so the task
+    reaches ``args`` through a box that is emptied once the future is done:
+    the queue keeps no span of a clip's samples alive.
+    """
     global _pool
     limit = _thread_limit()
+    box = [args]
     with _lock:
         if _pool is None or _pool[0] != limit:  # a dropped pool's threads end when idle
             _pool = limit, ThreadPoolExecutor(limit)
-        future = _pool[1].submit(fn, *args)
+        future = _pool[1].submit(lambda: fn(*box.pop()))
         _pending.add(future)
     future.add_done_callback(_pending.discard)
+    future.add_done_callback(lambda _: box.clear())
     return future
 
 

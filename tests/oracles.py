@@ -3,10 +3,10 @@
 Everything here is written as literal summation loops or O(N^2) matrix
 products so a bug in the library's FFT plumbing cannot hide in the tests.
 Keep these dumb; speed does not matter at test sizes. The ``whole_clip_*``
-expressions are the one exception: they are the analysis as it ran before
-it moved to blocks of frames (and, for the lag products, before the blocks
-reused their own buffers), kept so the blocked code is pinned to it bit for
-bit.
+expressions are the one exception: they are the analysis over all frames at
+once, with no blocks of frames and no reused buffers (for the lag products,
+the shared-segment sums written out in the library's order), kept so the
+blocked code is pinned to them bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def naive_dft_magnitudes(frame: np.ndarray) -> np.ndarray:
@@ -150,49 +149,79 @@ def _fft_size(n: int) -> int:
                if size >= n)
 
 
-def _segments(frames: np.ndarray, seg: int, parts: int, width: int) -> np.ndarray:
-    if parts == 1:
-        return frames[:, :width]
-    pad = max(0, (parts - 1) * seg + width - frames.shape[1])
-    x = np.concatenate([frames[:-1, :seg].ravel(), frames[-1], np.zeros(pad)])
-    return sliding_window_view(x, width)[::seg][: len(frames) + parts - 1]
+def _segment_length(hop: int, tau_max: int) -> int:
+    seg = hop
+    while seg % 2 == 0 and seg // 2 >= max(tau_max, 128):
+        seg //= 2
+    return seg
 
 
-def _frame_sums(rows: np.ndarray, parts: int, n: int) -> np.ndarray:
-    return sum((rows[k : k + n] for k in range(1, parts)), rows[:n])
+def _shared_terms(frames: np.ndarray, hop: int, seg: int, hops: int, reach: int, size: int):
+    """The spectra S_k, at ``size``, of every ``seg``-sample segment under
+    ``frames`` (``hop`` apart) up to ``hops`` hops into the last frame, and
+    conj(S_k) Y_k for each with ``reach`` segments after it, where
+    Y_k = S_k + sum_m S_{k+m} e^(-2 pi i f m seg / size)."""
+    x = np.concatenate([frames[:-1, :hop].ravel(), frames[-1, : hops * hop]])
+    s = np.fft.rfft(x.reshape(-1, seg), size, axis=1)
+    turns = np.outer(np.arange(1, reach + 1) * seg, np.arange(size // 2 + 1)) % size
+    phases = np.exp(turns * (-2j * np.pi / size))
+    rows = len(s) - reach
+    y = s[:rows] + s[1 : rows + 1] * phases[0]
+    for m in range(2, reach + 1):
+        y = y + s[m : rows + m] * phases[m - 1]
+    return s, s[:rows].conj() * y
+
+
+def _frame_sums(rows: np.ndarray, terms: int, n: int) -> np.ndarray:
+    return sum((rows[k : k + n] for k in range(1, terms)), rows[:n])
 
 
 def whole_clip_autocorrelation(frames: np.ndarray, tau_max: int, hop: int) -> np.ndarray:
     """acf's FFT lag products r(0..tau_max) of every frame, frames ``hop`` apart,
-    in the expressions the library used before its blocks reused their buffers:
-    a frame sums conj(S_k) Y_k over its hop-long segments but the last, then
-    adds |S_k|^2 of the last (one segment when the hop does not share them)."""
+    over all frames at once. Where the frames share segments, |S_k|^2 of a
+    frame's last segment, then conj(S_k) Y_k over its other segments (each
+    hop's segments added in order, then the whole hops in order, then the last
+    hop's); otherwise |S|^2 of the frame transformed at frame + tau_max."""
     n = frames.shape[1]
-    parts = n // hop if n % hop == 0 and tau_max <= hop else 1
-    seg = n // parts
-    size = _fft_size(seg + tau_max)
-    rows = _segments(frames, seg, parts, seg + tau_max)
-    s = np.fft.rfft(rows[:, :seg], size, axis=1)
-    power = s.real * s.real + s.imag * s.imag
-    if parts > 1:
-        cross = s[:-1].conj() * np.fft.rfft(rows[:-1], size, axis=1)
-        power = _frame_sums(cross, parts - 1, len(frames)) + power[parts - 1 :]
-    return np.fft.irfft(power, size, axis=1)[:, : tau_max + 1]
+    if n % hop or tau_max > hop or hop == n:
+        size = _fft_size(n + tau_max)
+        s = np.fft.rfft(frames, size, axis=1)
+        return np.fft.irfft(s.real * s.real + s.imag * s.imag, size, axis=1)[:, : tau_max + 1]
+    seg = _segment_length(hop, tau_max)
+    step, hops, size = hop // seg, n // hop, _fft_size(2 * seg)
+    s, terms = _shared_terms(frames, hop, seg, hops, 1, size)
+    by_segment = [terms[i::step] for i in range(step)]  # the hops' i-th segments
+    partial = sum(by_segment[1:-1], by_segment[0]) if step > 1 else None
+    whole = by_segment[-1] if step == 1 else partial[: len(by_segment[-1])] + by_segment[-1]
+    last = s[hops * step - 1 :: step]
+    total = last.real * last.real + last.imag * last.imag
+    for k in range(hops - 1):
+        total = total + whole[k : k + len(frames)]
+    if partial is not None:
+        total = total + partial[hops - 1 : hops - 1 + len(frames)]
+    return np.fft.irfft(total, size, axis=1)[:, : tau_max + 1]
 
 
 def whole_clip_difference(frames: np.ndarray, tau_max: int, hop: int):
     """yin's d(0..tau_max) and d'(0..tau_max) of every frame, frames ``hop``
-    apart, in the library's former expressions (see
-    ``whole_clip_autocorrelation``): d = E_0 + E_tau - 2c over the first half
-    frame, d under 1e-12 of the first w + tau_max samples' energy set to 0."""
+    apart, over all frames at once: d = E_0 + E_tau - 2c over the first half
+    frame, d under 1e-12 of the first w + tau_max samples' energy set to 0.
+    Where the frames share segments, c sums conj(S_k) Y_k over the half frame's
+    segments (each hop's in order, then the hops); otherwise c correlates the
+    half frame with its w + tau_max samples, both transformed at w + tau_max."""
     w = frames.shape[1] // 2
-    parts = w // hop if w % hop == 0 else 1
-    seg = w // parts
-    width = seg + tau_max
-    size = _fft_size(width)
-    rows = _segments(frames, seg, parts, width)
-    cross = np.fft.rfft(rows[:, :seg], size, axis=1).conj() * np.fft.rfft(rows, size, axis=1)
-    c = np.fft.irfft(_frame_sums(cross, parts, len(frames)), size, axis=1)[:, : tau_max + 1]
+    if w % hop or hop == w:
+        size = _fft_size(w + tau_max)
+        cross = (np.fft.rfft(frames[:, :w], size, axis=1).conj()
+                 * np.fft.rfft(frames[:, : w + tau_max], size, axis=1))
+    else:
+        seg = _segment_length(hop, tau_max)
+        reach = -(-tau_max // seg)
+        step, size = hop // seg, _fft_size((reach + 1) * seg)
+        _, terms = _shared_terms(frames, hop, seg, w // hop + -(-reach * seg // hop), reach, size)
+        by_segment = [terms[i::step][: len(frames) - 1 + w // hop] for i in range(step)]
+        cross = _frame_sums(sum(by_segment[1:], by_segment[0]), w // hop, len(frames))
+    c = np.fft.irfft(cross, size, axis=1)[:, : tau_max + 1]
     head, tail = frames[:, :tau_max], frames[:, w : w + tau_max]
     e_0 = np.einsum("ij,ij->i", frames[:, :w], frames[:, :w])[:, None]
     e_tau = np.zeros_like(c)

@@ -29,7 +29,6 @@ from f0kit import baselines
 from f0kit.baselines import (
     BASELINES,
     _chunk_frames,
-    _fft_size,
     autocorrelation,
     difference,
     pick_max,
@@ -135,8 +134,8 @@ def test_difference_matches_yin_scan(frame_size, f_min, count):
                                         range(len(frames)))
 
 
-# (frame size, hop, f_min) at which frames hop apart share their hop-long
-# segments: both benchmark bands at the default frame and hop, and a short frame
+# (frame size, hop, f_min) at which frames hop apart share their segments: both
+# benchmark bands at the default frame and hop, and a short frame
 SHARED = [(2048, 512, 800.0), (2048, 512, 100.0), (512, 128, 400.0)]
 
 
@@ -409,20 +408,82 @@ def test_shared_picks_match_per_frame_rule_across_chunk_edges(stacks, method):
 @pytest.mark.parametrize("f_min", [800.0, 100.0])
 @pytest.mark.parametrize("method", ["acf", "yin"])
 def test_default_config_transforms_only_shared_segments(monkeypatch, stacks, method, f_min):
-    # every rfft is one of a hop-long segment or of the hop + tau_max samples
-    # starting with it, never a whole frame
+    # every rfft is of whole segments, 128 samples long on the song band and 512
+    # at f_min=100, at N = 2 seg; never of a frame or of a Y window. Each lag
+    # block, which ends with its one irfft, transforms each of its segments once:
+    # one hop's per frame, then the last frame's further hops (acf: the rest of
+    # its 4; yin: the rest of the half frame's 2, and the one its lags reach into)
     cfg = BaselineConfig(f_min=f_min)
-    lengths = []
-    rfft = np.fft.rfft
+    seg, hops = {800.0: 128, 100.0: 512}[f_min], {"acf": 4, "yin": 3}[method]
+    calls = []
+    rfft, irfft = np.fft.rfft, np.fft.irfft
 
-    def spy(a, n=None, *args, **kwargs):
-        lengths.append(n)
-        return rfft(a, n, *args, **kwargs)
+    def spy(transform):
+        def call(a, n=None, *args, **kwargs):
+            calls.append((transform, a.shape, n))
+            return transform(a, n, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.fft, "rfft", spy)
+    monkeypatch.setattr(np.fft, "rfft", spy(rfft))
+    monkeypatch.setattr(np.fft, "irfft", spy(irfft))
+    monkeypatch.setenv("F0_NUM_THREADS", "1")  # the blocks run in order
     BASELINES[method](stacks, cfg)
-    assert lengths
-    assert set(lengths) == {_fft_size(cfg.hop + cfg.lag_range(SR)[1])}
+    segments, blocks = 0, 0
+    for transform, shape, n in calls:
+        if transform is rfft:
+            assert (shape[-1], n) == (seg, 2 * seg)
+            segments += int(np.prod(shape[:-1]))
+        else:
+            assert segments == (shape[0] - 1 + hops) * (cfg.hop // seg)
+            segments, blocks = 0, blocks + 1
+    assert blocks > 1 and segments == 0
+
+
+# (frame size, hop, f_min) on the shared route since segments may be shorter
+# than the hop: 4, 2 and 8 segments per hop on the song band (yin's half frame
+# is one segment at hop 1024); yin's Y_k over the 2 and 4 segments after S_k at
+# f_min=100 (acf takes one segment there); 2 per hop on 1024-sample frames; and
+# 4096-sample frames on both bands
+SPLIT = [(2048, 512, 800.0), (2048, 256, 800.0), (2048, 1024, 800.0), (2048, 256, 100.0),
+         (2048, 128, 100.0), (1024, 256, 400.0), (4096, 1024, 100.0), (4096, 512, 800.0)]
+
+
+@pytest.mark.parametrize("frame_size,hop,f_min", SPLIT)
+def test_split_segments_match_the_scans_at_block_and_chunk_edges(frame_size, hop, f_min):
+    # every test signal in turn, repeated past the second chunk; the frames
+    # checked straddle the first two 64-frame lag blocks and the first chunk
+    cfg = BaselineConfig(frame_size=frame_size, hop=hop, f_min=f_min)
+    tau_min, tau_max = cfg.lag_range(SR)
+    chunk = _chunk_frames(tau_max + 1)
+    n = (chunk + 1) * hop + frame_size
+    samples = np.tile(np.concatenate(list(SIGNALS.values())), n // 16384 + 1)[:n]
+    frames = sliding_window_view(samples, frame_size)[::hop]
+    checked = [0, 63, 64, 65, chunk - 1, chunk, len(frames) - 1]
+    if tau_max > 200:  # the oracles are pure Python
+        checked = [64, chunk]
+    name = f"{frame_size}-{hop}-{f_min}"
+    _assert_acf_matches_scan(name, frames, autocorrelation(frames, tau_max, hop),
+                             tau_min, tau_max, checked)
+    d, dn = difference(frames, tau_max, hop)
+    _assert_difference_matches_scan(name, frames, d, dn, tau_min, tau_max, checked)
+
+
+@pytest.mark.parametrize("frame_size,hop,f_min", [(2048, 512, 800.0), (2048, 512, 100.0),
+                                                  (2048, 128, 100.0)])
+def test_lag_products_do_not_depend_on_the_frames_layout(frame_size, hop, f_min):
+    # the segments are read from the frames themselves, whether they are the
+    # clip's strided view, as framed, a copy, or a copy whose rows lie apart
+    tau_max = BaselineConfig(frame_size=frame_size, hop=hop, f_min=f_min).lag_range(SR)[1]
+    frames = sliding_window_view(_exact_clip(frame_size, hop, 70).samples, frame_size)[::hop]
+    r = autocorrelation(frames, tau_max, hop)
+    d, dn = difference(frames, tau_max, hop)
+    wide = np.zeros((len(frames), frame_size + 7))
+    wide[:, :frame_size] = frames
+    for copy in (frames.copy(), wide[:, :frame_size]):
+        assert np.array_equal(autocorrelation(copy, tau_max, hop), r)
+        d_copy, dn_copy = difference(copy, tau_max, hop)
+        assert np.array_equal(d_copy, d)
+        assert np.array_equal(dn_copy, dn)
 
 
 def test_picks_match_per_frame_rules_on_rows_with_ties():

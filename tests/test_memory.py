@@ -29,16 +29,19 @@ from songgen import SAMPLE_RATE, generate  # noqa: E402
 
 SECONDS = 60.0
 # MB per audio second. Measured on this clip, at the default band and at
-# f_min=100 (the benchmark's widest lag window), on one thread: acf 0.026 and
-# 0.032, yin 0.031 and 0.031, cepstrum 0.028 and 0.027, which read acf 0.036
-# and 0.048, yin 0.039 and 0.046, cepstrum 0.036 and 0.036 while each lag
-# block allocated a new array for every FFT product, conjugate, frame sum and
-# normalisation; render_plot 0.068, which read 0.0765 with its dB levels
-# built in new arrays and held as int64; track 0.008 (refined), which read
-# 0.116 while argmax copied the whole band.
+# f_min=100 (the benchmark's widest lag window), on one thread: acf 0.027 and
+# 0.030, yin 0.031 and 0.030, cepstrum 0.028 and 0.027. acf and yin read
+# 0.026 and 0.032, 0.031 and 0.031 with hop-long segments and a second
+# transform for the samples after each, and acf 0.036 and 0.048, yin 0.039
+# and 0.046, cepstrum 0.036 and 0.036 while each lag block allocated a new
+# array for every FFT product, conjugate, frame sum and normalisation;
+# render_plot 0.068, which read 0.0765 with its dB levels built in new arrays
+# and held as int64; track 0.008 (refined), which read 0.116 while argmax
+# copied the whole band.
 # On two threads each span's thread holds one chunk's arrays, so the
-# baselines read acf 0.049 and 0.061, yin 0.055 and 0.060, cepstrum 0.053
-# and 0.052 (0.069 and 0.094, 0.064-0.075 and 0.090, 0.070 and 0.070 before
+# baselines read acf 0.052 and 0.058, yin 0.053-0.060 and 0.057, cepstrum
+# 0.053 and 0.052 (acf 0.049 and 0.061, yin 0.055 and 0.060 with the second
+# transform; 0.069 and 0.094, 0.064-0.075 and 0.090, 0.070 and 0.070 before
 # the kernels reused their buffers). With whole-clip decisions and a padded
 # pooling copy they read 0.08 and 0.61, 0.16 and 1.26, 0.13 and 0.90;
 # render_plot 0.59.
@@ -53,9 +56,9 @@ PLOT_BOUND_MB_PER_S = 0.074
 # Each baseline's own bound on one thread, by (method, f_min): its value
 # measured above, at most 10 % over it, under the same ratchet.
 METHOD_BOUND_MB_PER_S = {
-    ("acf", 800.0): 0.028, ("acf", 100.0): 0.034,
+    ("acf", 800.0): 0.028, ("acf", 100.0): 0.032,
     ("cepstrum", 800.0): 0.030, ("cepstrum", 100.0): 0.030,
-    ("yin", 800.0): 0.034, ("yin", 100.0): 0.034,
+    ("yin", 800.0): 0.034, ("yin", 100.0): 0.032,
 }
 
 

@@ -11,6 +11,7 @@ import re
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -128,6 +129,24 @@ class TestSpanMap:
 
         with pytest.raises(ValueError, match=f"frame {bad}"):
             dsp._spanwise(fn, np.arange(100), 7)
+
+    def test_a_cancelled_task_keeps_no_span_alive(self, monkeypatch):
+        # a span taken back from the queue is a view of the clip's samples; the
+        # task left queued behind the busy thread must not hold it until the
+        # thread gets to drop it
+        monkeypatch.setenv("F0_NUM_THREADS", "1")
+        gate = threading.Event()
+        busy = dsp._submit(gate.wait, TIMEOUT)
+        span = np.arange(7.0)
+        alive = weakref.ref(span)
+        queued = dsp._submit(lambda frames: frames, span)
+        try:
+            assert queued.cancel()
+            del span
+            assert alive() is None
+        finally:
+            gate.set()
+            busy.result(timeout=TIMEOUT)
 
     @pytest.mark.parametrize("blind", [False, True])
     @pytest.mark.parametrize("limit", [1, 2])

@@ -13,22 +13,25 @@ It writes ``--clips`` song and lowband clips of 6 s from
 ``perfbench/songgen.py`` (imported read-only), then calls
 ``f0kit.cli.main``, imported from ``SRC_DIR``, for each flag set (specmax
 with and without ``--refine``, acf, yin, cepstrum, acf and yin at
-``--hop 500`` and at ``--hop 256``, and acf with two flags it does not read,
-each with ``--plot``) at each band (the default, and ``--fmin 100``) under
-each ``F0_NUM_THREADS`` value (1 and 2): once per clip, and once more with
-every clip as one batch that writes into ``--out DIR/ --plot DIR/``. Each
-call is one run. At 2 threads a one-input call splits a baseline's frames
-over the idle thread, and a batch runs its inputs side by side. A hop of 500
-divides neither frame size, so acf and yin there take one segment per frame
-instead of sharing segments. At the default hop of 512 acf shares 4
-segments per frame and yin 2; a hop of 256 gives acf 8 at the default band
-and yin 4 at both bands, so yin's frame sums, too, add more than two terms.
-At ``--fmin 100`` (lags up to 441 > 256) acf takes one segment there. The
-``acf-unread`` set passes ``--silence-db`` and ``--yin-threshold``, so every
-one of its runs prints a "has no effect" warning for each, even with
-``--plot``. The inputs are named relative to the working directory, so no
-temporary path reaches the hashed text; the help text is wrapped at
-``COLUMNS=80``.
+``--hop 500`` and at ``--hop 256``, yin at ``--hop 128``, and acf with two
+flags it does not read, each with ``--plot``) at each band (the default,
+and ``--fmin 100``) under each ``F0_NUM_THREADS`` value (1 and 2): once per
+clip, and once more with every clip as one batch that writes into
+``--out DIR/ --plot DIR/``. Each call is one run. At 2 threads a one-input
+call splits a baseline's frames over the idle thread, and a batch runs its
+inputs side by side. A hop of 500 divides neither frame size, so acf and
+yin there take one segment per frame instead of sharing segments. Shared
+segments are the hop, halved while the half still covers the longest lag
+and 128 samples: 128 samples at the default band, where a hop of 512 holds
+4 of them, 256 holds 2 and 128 is one, and the whole hop at ``--fmin 100``
+(lags up to 441), where each frame spans 4 hops of 512 and yin's half
+frame 2. There a hop of 256 or 128 is shorter than the longest lag, so acf
+takes one segment per frame, while yin's lags reach 2 and 4 segments past
+each of its own. The ``acf-unread`` set passes ``--silence-db`` and
+``--yin-threshold``, so every one of its runs prints a "has no effect"
+warning for each, even with ``--plot``. The inputs are named relative to
+the working directory, so no temporary path reaches the hashed text; the
+help text is wrapped at ``COLUMNS=80``.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ FLAG_SETS = {
     "yin-hop500": ["--method", "yin", "--hop", "500"],
     "acf-hop256": ["--method", "acf", "--hop", "256"],
     "yin-hop256": ["--method", "yin", "--hop", "256"],
+    "yin-hop128": ["--method", "yin", "--hop", "128"],
     "acf-unread": ["--method", "acf", "--silence-db", "-30", "--yin-threshold", "0.2"],
 }
 BANDS = ([], ["--fmin", "100"])
